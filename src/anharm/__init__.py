@@ -5,110 +5,40 @@ of V(r) = m w^2 r^2 / 2 + sum_i v_i r^(2i+2) from exact recursion relations on
 the wavefunction log-derivative, reconstructs harmonic-oscillator
 wavefunction factors, resums the (asymptotic) series with Pade approximants,
 and cross-checks everything against an independent numeric radial solver.
+
+The names below are the library entry points and one base error per CLI exit
+code; everything else is reached through its module (`anharm.engine`,
+`anharm.wavefunction`, ...).
 """
 
-from .engine import (
-    C0Series,
-    CoefficientTable,
-    EngineError,
-    IndexNotReady,
-    OrderTooLarge,
-    c0_coefficients,
-    compute_series,
-    energy_correction,
-    laurent_entry,
-    quantization_value,
-)
+from .engine import EngineError, compute_series
 from .model import (
     EnergySeries,
-    NegativeQuantumNumber,
-    NonPositiveFrequency,
-    NonPositiveMass,
     PotentialSpec,
     ProblemSpecError,
     QuantumState,
-    Rational,
-    format_rational,
     make_potential,
     make_state,
-    parse_rational,
 )
-from .oracle import (
-    BracketingFailure,
-    ComparisonRecord,
-    NotConverged,
-    OracleConfig,
-    OracleError,
-    OracleResult,
-    compare_with_series,
-    default_config,
-    solve_radial,
-    wavefunction_samples,
-)
-from .resummation import (
-    SingularPadeSystem,
-    SummationReport,
-    divergence_diagnostics,
-    pade,
-    partial_sums,
-    term_ratios,
-)
-from .wavefunction import (
-    DegenerateSystem,
-    DomainError,
-    HarmonicLogDerivative,
-    NodePolynomial,
-    evaluate_log_derivative,
-    harmonic_d_coefficients,
-    node_polynomial,
-)
+from .oracle import OracleError, compare_with_series, default_config, solve_radial
+from .resummation import divergence_diagnostics, pade, partial_sums
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketingFailure",
-    "C0Series",
-    "CoefficientTable",
-    "ComparisonRecord",
-    "DegenerateSystem",
-    "DomainError",
     "EnergySeries",
     "EngineError",
-    "HarmonicLogDerivative",
-    "IndexNotReady",
-    "NegativeQuantumNumber",
-    "NodePolynomial",
-    "NonPositiveFrequency",
-    "NonPositiveMass",
-    "NotConverged",
-    "OracleConfig",
     "OracleError",
-    "OracleResult",
-    "OrderTooLarge",
     "PotentialSpec",
     "ProblemSpecError",
     "QuantumState",
-    "Rational",
-    "SingularPadeSystem",
-    "SummationReport",
-    "c0_coefficients",
     "compare_with_series",
     "compute_series",
     "default_config",
     "divergence_diagnostics",
-    "energy_correction",
-    "evaluate_log_derivative",
-    "format_rational",
-    "harmonic_d_coefficients",
-    "laurent_entry",
     "make_potential",
     "make_state",
-    "node_polynomial",
     "pade",
-    "parse_rational",
     "partial_sums",
-    "quantization_value",
     "solve_radial",
-    "term_ratios",
-    "wavefunction_samples",
 ]

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 engine error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -334,14 +333,11 @@ def _run_validate(job: Job) -> str:
 
 
 def _run_sweep(job: Job, states: list[tuple[int, int]], runner) -> int:
-    jobs = []
-    for n, l in states:
-        sub = dataclasses.replace(job, state=make_state(n, l), output=None)
-        jobs.append(sub)
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(8, max(1, len(jobs)))
-    ) as pool:
-        texts = list(pool.map(runner, jobs))
+    jobs = [
+        dataclasses.replace(job, state=make_state(n, l), output=None)
+        for n, l in states
+    ]
+    texts = [runner(sub) for sub in jobs]
     if job.output is None:
         for text in texts:
             sys.stdout.write(text)
@@ -419,7 +415,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument(
         "--sweep", nargs="+", metavar="N,L",
-        help="run several states concurrently, e.g. --sweep 0,0 1,0",
+        help="run several states, one after another, e.g. --sweep 0,0 1,0",
     )
     parser.add_argument("--pade-num", type=int, help="Pade numerator degree")
     parser.add_argument("--pade-den", type=int, help="Pade denominator degree")

@@ -28,45 +28,18 @@ class EngineError(Exception):
     """Recursion-level failure."""
 
 
-class IndexNotReady(EngineError):
-    """A predecessor table entry was read before it was computed."""
-
-
 class OrderTooLarge(EngineError):
     """Requested expansion order exceeds the configured resource cap."""
 
 
-class C0Series:
-    """Taylor coefficients of the classical momentum factor.
-
-    coeffs[i] multiplies r^(2i+1) in C_0(r); coeffs[0] = -m*omega exactly.
-    Recomputing with a larger cutoff never changes existing entries.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        return isinstance(other, C0Series) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"C0Series({list(self.coeffs)!r})"
-
-
-def c0_coefficients(potential: PotentialSpec, imax: int) -> C0Series:
+def c0_coefficients(potential: PotentialSpec, imax: int) -> tuple[Fraction, ...]:
     """Expand -sqrt(2 m V(r)) = r * sum_i c_i r^(2i) through i = imax.
 
     c_0 = -m*omega and, squaring the series against 2mV term by term,
 
         c_i = (sum_{p=1}^{i-1} c_p c_{i-p} - 2 m v_i) / (2 m omega).
+
+    Recomputing with a larger cutoff never changes existing entries.
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
@@ -78,27 +51,24 @@ def c0_coefficients(potential: PotentialSpec, imax: int) -> C0Series:
         for p in range(1, i):
             acc += coeffs[p] * coeffs[i - p]
         coeffs.append(acc / denom)
-    return C0Series(coeffs)
+    return tuple(coeffs)
 
 
 class CoefficientTable:
-    """Rectangular table of Laurent coefficients C[k][i], filled level by level.
+    """The filled table of Laurent coefficients C[k][i], k = 0..order, i = 0..imax.
 
-    Row 0 holds the C0Series; rows 1..order hold the hbar^k Laurent
-    coefficients for column indices 0..order-1.  During construction unset
-    entries read as IndexNotReady; `compute_series` returns only completed
-    tables, which are then immutable by convention.
+    Row 0 is the momentum Taylor series `c0`; rows 1..order hold the hbar^k
+    Laurent coefficients.  `compute_series` builds it complete, and it is
+    read-only from then on.
     """
 
-    def __init__(self, potential: PotentialSpec, state: QuantumState, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+    def __init__(self, potential: PotentialSpec, state: QuantumState, rows: list):
         self.potential = potential
         self.state = state
-        self.order = order
-        self.imax = order - 1
-        self.c0 = c0_coefficients(potential, self.imax)
-        self._rows = [[None] * order for _ in range(order)]
+        self.order = len(rows) - 1
+        self.imax = self.order - 1
+        self.c0 = rows[0]
+        self._rows = tuple(tuple(row) for row in rows)
 
     def entry(self, k: int, i: int) -> Fraction:
         """C[k][i]; row 0 is the momentum Taylor series."""
@@ -106,62 +76,14 @@ class CoefficientTable:
             raise IndexError(f"level {k} outside 0..{self.order}")
         if not 0 <= i <= self.imax:
             raise IndexError(f"column {i} outside 0..{self.imax}")
-        if k == 0:
-            return self.c0[i]
-        value = self._rows[k - 1][i]
-        if value is None:
-            raise IndexNotReady(f"entry (k={k}, i={i}) has not been computed yet")
-        return value
-
-    def has_entry(self, k: int, i: int) -> bool:
-        if k == 0:
-            return 0 <= i <= self.imax
-        return (
-            1 <= k <= self.order
-            and 0 <= i <= self.imax
-            and self._rows[k - 1][i] is not None
-        )
+        return self._rows[k][i]
 
     def row(self, k: int) -> tuple:
-        """Completed row k as a tuple (None marks unset entries)."""
-        if k == 0:
-            return self.c0.coeffs
-        return tuple(self._rows[k - 1])
-
-    def store(self, k: int, i: int, value: Fraction) -> None:
-        """Write one Laurent coefficient while building the table."""
-        if not 1 <= k <= self.order:
-            raise IndexError(f"level {k} outside 1..{self.order}")
-        if not 0 <= i <= self.imax:
-            raise IndexError(f"column {i} outside 0..{self.imax}")
-        self._rows[k - 1][i] = Fraction(value)
+        """Row k as a tuple; row 0 is the momentum Taylor series."""
+        return self._rows[k]
 
 
-def quantization_value(state: QuantumState, k: int) -> Fraction:
-    """Residue of C_k at the origin: 2n+l+1 at first order, zero at all others.
-
-    The contour around the origin encloses all 2n+l+1 wavefunction zeros,
-    and the enclosed count enters the expansion only at order hbar^1.
-    """
-    if k < 1:
-        raise ValueError("quantization applies to levels k >= 1")
-    return Fraction(state.principal) if k == 1 else Fraction(0)
-
-
-def _level_prefix(table: CoefficientTable, k: int, width: int) -> list:
-    """Entries C[k][0..width-1], raising IndexNotReady on gaps."""
-    if not 0 <= k <= table.order:
-        raise IndexError(f"level {k} outside 0..{table.order}")
-    if k == 0:
-        return list(table.c0.coeffs[:width])
-    row = table._rows[k - 1][:width]
-    for i, value in enumerate(row):
-        if value is None:
-            raise IndexNotReady(f"entry (k={k}, i={i}) has not been computed yet")
-    return row
-
-
-def _convolution(table: CoefficientTable, k: int, i: int, lo: int) -> Fraction:
+def _convolution(rows: list, k: int, i: int, lo: int) -> Fraction:
     """sum_{j=lo}^{k-lo} sum_{p=0}^{i} C[j][p] C[k-j][i-p].
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
@@ -169,7 +91,6 @@ def _convolution(table: CoefficientTable, k: int, i: int, lo: int) -> Fraction:
     tables cheap.
     """
     acc = Fraction(0)
-    rows = {j: _level_prefix(table, j, i + 1) for j in range(lo, k - lo + 1)}
     for j in range(lo, (k - 1) // 2 + 1):
         partial = Fraction(0)
         row_a, row_b = rows[j], rows[k - j]
@@ -191,58 +112,6 @@ def _convolution(table: CoefficientTable, k: int, i: int, lo: int) -> Fraction:
     return acc
 
 
-def laurent_entry(table: CoefficientTable, k: int, i: int) -> Fraction:
-    """Next Laurent coefficient C[k][i] for a non-residue column (i != k-1).
-
-    Power matching at order hbar^k, power r^(2i+2-2k):
-
-        C[k][i] = -[ (3-2k+2i) C[k-1][i]
-                     + sum_{j=1}^{k-1} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
-                     + 2 sum_{p=1}^{i} C0[p] C[k][i-p]
-                     - l(l+1) (k==2)(i==0) ] / (2 C0[0])
-
-    Requires every C[j][p] with j < k, p <= i and every C[k][p] with p < i;
-    reading an unset entry raises IndexNotReady.
-    """
-    if k < 1:
-        raise ValueError("laurent recursion applies to levels k >= 1")
-    if i == k - 1:
-        raise ValueError(
-            f"column i = k-1 = {i} is the residue slot; use quantization_value"
-        )
-    acc = (3 - 2 * k + 2 * i) * table.entry(k - 1, i)
-    acc += _convolution(table, k, i, lo=1)
-    if i > 0:
-        c0 = table.c0.coeffs
-        row_k = _level_prefix(table, k, i)
-        for p in range(1, i + 1):
-            a = c0[p]
-            if a:
-                b = row_k[i - p]
-                if b:
-                    acc += 2 * a * b
-    if k == 2 and i == 0:
-        acc -= table.state.centrifugal
-    return -acc / (2 * table.c0[0])
-
-
-def energy_correction(table: CoefficientTable, k: int) -> Fraction:
-    """Energy coefficient E_k from the residue column of level k.
-
-    The r^0 power-matching identity at order hbar^k gives
-
-        2 m E_k = -C[k-1][k-1] - sum_{j=0}^{k} sum_{p=0}^{k-1} C[j][p] C[k-j][k-1-p]
-
-    where the j = 0 and j = k terms involve the already-pinned residue
-    C[k][k-1].  Requires levels j <= k filled through column k-1.
-    """
-    if k < 1:
-        raise ValueError("energy corrections start at k = 1")
-    acc = table.entry(k - 1, k - 1)
-    acc += _convolution(table, k, k - 1, lo=0)
-    return -acc / (2 * table.potential.mass)
-
-
 def compute_series(
     potential: PotentialSpec,
     state: QuantumState,
@@ -251,11 +120,27 @@ def compute_series(
 ) -> tuple[CoefficientTable, EnergySeries]:
     """Fill the coefficient table and return it with E_1..E_order.
 
-    Levels are filled in ascending k; within a level, columns in ascending i
-    with the residue column i = k-1 written from the quantization rule before
-    the energy coefficient is extracted.  Producing E_K touches potential
-    coefficients v_i only for i <= K-1 and nothing beyond the allocated
-    rectangle, so enlarging the order never changes earlier entries.
+    Levels are filled in ascending k; within a level, columns in ascending i.
+    The residue column i = k-1 is the node-count quantization rule: C[k][k-1]
+    is 2n+l+1 at first order and zero at all others, because the contour
+    around the origin encloses all 2n+l+1 wavefunction zeros and the enclosed
+    count enters the expansion only at order hbar^1.  Every other column
+    follows from power matching at order hbar^k, power r^(2i+2-2k):
+
+        C[k][i] = -[ (3-2k+2i) C[k-1][i]
+                     + sum_{j=1}^{k-1} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
+                     + 2 sum_{p=1}^{i} C0[p] C[k][i-p]
+                     - l(l+1) (k==2)(i==0) ] / (2 C0[0])
+
+    Once level k is complete, the r^0 power-matching identity at order hbar^k
+    gives the energy coefficient
+
+        2 m E_k = -C[k-1][k-1] - sum_{j=0}^{k} sum_{p=0}^{k-1} C[j][p] C[k-j][k-1-p]
+
+    where the j = 0 and j = k terms involve the pinned residue C[k][k-1].
+    Producing E_K touches potential coefficients v_i only for i <= K-1 and
+    nothing beyond the allocated rectangle, so enlarging the order never
+    changes earlier entries.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -264,13 +149,27 @@ def compute_series(
             f"order {order} exceeds the cap of {max_order}; "
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
-    table = CoefficientTable(potential, state, order)
+    c0 = c0_coefficients(potential, order - 1)
+    rows = [c0]
     corrections = []
     for k in range(1, order + 1):
-        for i in range(table.imax + 1):
+        row = []
+        rows.append(row)
+        for i in range(order):
             if i == k - 1:
-                table.store(k, i, quantization_value(state, k))
-            else:
-                table.store(k, i, laurent_entry(table, k, i))
-        corrections.append(energy_correction(table, k))
-    return table, EnergySeries(tuple(corrections))
+                row.append(Fraction(state.principal if k == 1 else 0))
+                continue
+            acc = (3 - 2 * k + 2 * i) * rows[k - 1][i]
+            acc += _convolution(rows, k, i, lo=1)
+            for p in range(1, i + 1):
+                a = c0[p]
+                if a:
+                    b = row[i - p]
+                    if b:
+                        acc += 2 * a * b
+            if k == 2 and i == 0:
+                acc -= state.centrifugal
+            row.append(-acc / (2 * c0[0]))
+        acc = rows[k - 1][k - 1] + _convolution(rows, k, k - 1, lo=0)
+        corrections.append(-acc / (2 * potential.mass))
+    return CoefficientTable(potential, state, rows), EnergySeries(tuple(corrections))

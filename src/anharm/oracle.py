@@ -133,34 +133,35 @@ def default_config(
     )
 
 
-def _integrate(potential, state, energy, r_max, grid_points):
-    """Outward Numerov sweep; returns (interior node count, boundary value).
+def _numerov_setup(potential, state, energy, r_max, grid_points):
+    """Grid r, Numerov factors t (as a list) and the first two values of U.
 
     The first two values come from the small-r power series
-    r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; the
-    solution is rescaled in the forbidden region to avoid overflow (which
-    changes neither node locations nor the boundary sign).
+    r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order.
     """
     m, omega, _ = _potential_floats(potential)
     l = state.l
-    g = grid_points
+    g = int(grid_points)
     h = r_max / g
     r = np.arange(1, g + 1) * h
     base = l * (l + 1) / (r * r) + 2.0 * m * _potential_values(potential, r)
     t = (h * h / 12.0) * (base - 2.0 * m * energy)
-
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
+    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in r[:2])
+    return r, t.tolist(), u0, u1
 
-    def series(x):
-        return x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4)
 
-    tl = t.tolist()
-    u_prev = series(r[0])
-    u_cur = series(r[1])
+def _integrate(potential, state, energy, r_max, grid_points):
+    """Outward Numerov sweep; returns (interior node count, boundary value).
+
+    The solution is rescaled in the forbidden region to avoid overflow (which
+    changes neither node locations nor the boundary sign).
+    """
+    _, tl, u_prev, u_cur = _numerov_setup(potential, state, energy, r_max, grid_points)
     nodes = 0
     sign = math.copysign(1.0, u_cur)
-    for j in range(1, g - 1):
+    for j in range(1, len(tl) - 1):
         u_next = ((2.0 + 10.0 * tl[j]) * u_cur - (1.0 - tl[j - 1]) * u_prev) / (
             1.0 - tl[j + 1]
         )
@@ -254,20 +255,9 @@ def wavefunction_samples(
     Returns (r, U) arrays on the interior grid; useful for inspecting the
     eigenfunction behind a converged solve_radial energy.
     """
-    m, omega, _ = _potential_floats(potential)
-    l = state.l
-    g = int(grid_points)
-    h = r_max / g
-    r = np.arange(1, g + 1) * h
-    base = l * (l + 1) / (r * r) + 2.0 * m * _potential_values(potential, r)
-    t = (h * h / 12.0) * (base - 2.0 * m * energy)
-    tl = t.tolist()
-    u1c = -m * energy / (2 * l + 3)
-    u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
-    u = [0.0] * g
-    u[0] = r[0] ** (l + 1) * (1.0 + u1c * r[0] ** 2 + u2c * r[0] ** 4)
-    u[1] = r[1] ** (l + 1) * (1.0 + u1c * r[1] ** 2 + u2c * r[1] ** 4)
-    for j in range(1, g - 1):
+    r, tl, u0, u1 = _numerov_setup(potential, state, energy, r_max, grid_points)
+    u = [u0, u1] + [0.0] * (len(tl) - 2)
+    for j in range(1, len(tl) - 1):
         u[j + 1] = ((2.0 + 10.0 * tl[j]) * u[j] - (1.0 - tl[j - 1]) * u[j - 1]) / (
             1.0 - tl[j + 1]
         )

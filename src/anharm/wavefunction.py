@@ -22,10 +22,6 @@ class WavefunctionError(Exception):
     pass
 
 
-class DegenerateSystem(WavefunctionError):
-    """Triangular solve for the node polynomial hit a zero pivot."""
-
-
 class DomainError(WavefunctionError):
     """Log-derivative evaluated outside its domain r > 0."""
 
@@ -90,13 +86,10 @@ def node_polynomial(state: QuantumState, d: HarmonicLogDerivative) -> NodePolyno
     p = [Fraction(0)] * (n + 1)
     p[n] = Fraction(1)
     for m in range(n - 1, -1, -1):
-        pivot = 2 * (n - m)
-        if pivot == 0:
-            raise DegenerateSystem(f"zero pivot at m = {m}")  # unreachable for m < n
         acc = Fraction(0)
         for j in range(m + 1, n + 1):
             acc += p[j] * d.d[j - m + 1]
-        p[m] = -acc / pivot
+        p[m] = -acc / (2 * (n - m))
     return NodePolynomial(state, tuple(p))
 
 
@@ -114,9 +107,8 @@ def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> fl
     r2 = r * r
     total = 0.0
     for k in range(order + 1):
-        row = table.c0.coeffs if k == 0 else table.row(k)
         acc = 0.0
-        for coeff in reversed(row):
+        for coeff in reversed(table.row(k)):
             acc = acc * r2 + float(coeff)
         total += acc * r ** (1 - 2 * k)
     return total

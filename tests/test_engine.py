@@ -3,16 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anharm.engine import (
-    CoefficientTable,
-    IndexNotReady,
-    OrderTooLarge,
-    c0_coefficients,
-    compute_series,
-    energy_correction,
-    laurent_entry,
-    quantization_value,
-)
+from anharm.engine import OrderTooLarge, c0_coefficients, compute_series
 from anharm.model import make_potential, make_state
 
 from conftest import closed_form_corrections, random_problem, riccati_residuals
@@ -55,29 +46,29 @@ def binomial_sqrt_momentum(potential, imax):
 class TestMomentumCoefficients:
     def test_harmonic_is_linear(self):
         series = c0_coefficients(make_potential(1, 1), 3)
-        assert list(series.coeffs) == [-1, 0, 0, 0]
+        assert list(series) == [-1, 0, 0, 0]
 
     def test_quartic_matches_binomial_series(self):
         lam = Fraction(1)
         pot = make_potential(1, 1, [lam])
         series = c0_coefficients(pot, 2)
-        assert list(series.coeffs) == [-1, -lam, lam**2 / 2] == binomial_sqrt_momentum(pot, 2)
+        assert list(series) == [-1, -lam, lam**2 / 2] == binomial_sqrt_momentum(pot, 2)
 
     def test_pure_sextic_matches_binomial_series(self):
         mu = Fraction(3, 7)
         pot = make_potential(1, 1, [0, mu])
         series = c0_coefficients(pot, 2)
-        assert list(series.coeffs) == [-1, 0, -mu] == binomial_sqrt_momentum(pot, 2)
+        assert list(series) == [-1, 0, -mu] == binomial_sqrt_momentum(pot, 2)
 
     def test_general_potential_matches_binomial_series(self):
         pot = make_potential(Fraction(3, 2), Fraction(5, 3), [Fraction(1, 4), Fraction(-2, 5), 1])
-        assert list(c0_coefficients(pot, 6).coeffs) == binomial_sqrt_momentum(pot, 6)
+        assert list(c0_coefficients(pot, 6)) == binomial_sqrt_momentum(pot, 6)
 
     def test_prefix_stable(self):
         pot = make_potential(2, 3, [1, -1, Fraction(1, 2)])
         short = c0_coefficients(pot, 3)
         long = c0_coefficients(pot, 9)
-        assert long.coeffs[:4] == short.coeffs
+        assert long[:4] == short
 
     def test_negative_imax_rejected(self):
         with pytest.raises(ValueError):
@@ -86,31 +77,16 @@ class TestMomentumCoefficients:
 
 class TestQuantization:
     def test_first_order_counts_zeros(self):
-        assert quantization_value(make_state(0, 0), 1) == 1
-        assert quantization_value(make_state(2, 1), 1) == 6
+        pot = make_potential(1, 1, [Fraction(1, 10)])
+        assert compute_series(pot, make_state(0, 0), 1)[0].entry(1, 0) == 1
+        assert compute_series(pot, make_state(2, 1), 1)[0].entry(1, 0) == 6
 
     def test_higher_orders_vanish(self):
-        assert quantization_value(make_state(2, 1), 5) == 0
-
-    def test_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            quantization_value(make_state(0, 0), 0)
+        pot = make_potential(1, 1, [Fraction(1, 10)])
+        assert compute_series(pot, make_state(2, 1), 5)[0].entry(5, 4) == 0
 
 
 class TestTableOperations:
-    def test_manual_fill_matches_driver(self):
-        pot = make_potential(1, 1, [Fraction(1, 10)])
-        state = make_state(1, 0)
-        table = CoefficientTable(pot, state, 2)
-        table.store(1, 0, quantization_value(state, 1))
-        table.store(1, 1, laurent_entry(table, 1, 1))
-        e1 = energy_correction(table, 1)
-        table.store(2, 0, laurent_entry(table, 2, 0))
-        table.store(2, 1, quantization_value(state, 2))
-        e2 = energy_correction(table, 2)
-        _, series = compute_series(pot, state, 2)
-        assert (e1, e2) == tuple(series)
-
     @pytest.mark.parametrize(
         "mass,omega,n,l",
         [(1, 1, 0, 0), (1, 1, 1, 0), (2, 3, 1, 1)],
@@ -124,22 +100,10 @@ class TestTableOperations:
         expected = Fraction(big_n**2 - big_n - state.centrifugal, 2 * mass * omega)
         assert table.entry(2, 0) == expected
 
-    def test_residue_slot_rejected(self):
-        table = CoefficientTable(make_potential(1, 1), make_state(0, 0), 3)
-        with pytest.raises(ValueError):
-            laurent_entry(table, 2, 1)
-
-    def test_unfilled_predecessor_raises(self):
-        table = CoefficientTable(make_potential(1, 1, [1]), make_state(0, 0), 3)
-        with pytest.raises(IndexNotReady):
-            laurent_entry(table, 2, 0)
-        with pytest.raises(IndexNotReady):
-            energy_correction(table, 1)
-
     def test_store_bounds_checked(self):
-        table = CoefficientTable(make_potential(1, 1), make_state(0, 0), 2)
+        table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 2)
         with pytest.raises(IndexError):
-            table.store(3, 0, Fraction(1))
+            table.entry(3, 0)
         with pytest.raises(IndexError):
             table.entry(1, 5)
 

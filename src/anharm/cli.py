@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -432,8 +433,21 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a negative rational such as -1/50 as a value, not as an option.
+
+    argparse already does so for "-2" and "-0.5"; this widens its
+    negative-number pattern to "p/q" so that a negative coupling can follow
+    another value of --v.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="anharm",
         description="Exact perturbation series for spherical anharmonic oscillators",
     )

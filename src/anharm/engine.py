@@ -13,11 +13,26 @@ gives a recursion that fills a rectangular rational table level by level; the
 residue of C_k at the origin is pinned by the node-count quantization rule,
 which is what makes ground and excited states uniform.  All arithmetic is
 exact.
+
+The table is filled on integers in oscillator units (m = omega = 1).  With
+v~_i = v_i / (m^(i+1) omega^(i+2)) every divisor of the recursion is 2, and
+with Q = 2 lcm(denominators of v~) each cell is an integer over a fixed power
+of Q, the exponent rule
+
+    C~[k][i] = N[k][i] / Q^(k+i),    C[k][i] = (m omega)^(1-k+i) C~[k][i],
+
+row 0 included (c_i = (m omega)^(1+i) N[0][i] / Q^i).  Every convolution
+product N[j][p] N[k-j][i-p] then already sits at exponent k+i, so the fill
+is gcd-free big-integer dot products; the only division, by 2, is exact and
+checked.  A `Fraction` is built once per energy, E_k = omega E~_k, and once
+per table entry, when its row is first read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .model import EnergySeries, PotentialSpec, QuantumState
 
@@ -32,6 +47,40 @@ class OrderTooLarge(EngineError):
     """Requested expansion order exceeds the configured resource cap."""
 
 
+def _halve(acc: int, cell: str) -> int:
+    """acc / 2, which the exponent rule makes exact; an odd acc is an engine fault."""
+    if acc & 1:
+        raise EngineError(f"odd numerator at {cell}: the integer recursion lost exactness")
+    return acc >> 1
+
+
+def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
+    """Q and the integer momentum row N[0][0..imax], with c~_i = N[0][i] / Q^i.
+
+    In oscillator units c~_0 = -1 and
+
+        c~_i = (sum_{p=1}^{i-1} c~_p c~_{i-p} - 2 v~_i) / 2.
+    """
+    m, omega = potential.mass, potential.omega
+    scaled = [
+        potential.coefficient(i) / (m ** (i + 1) * omega ** (i + 2))
+        for i in range(1, imax + 1)
+    ]
+    q = 2 * math.lcm(*(v.denominator for v in scaled))
+    row = [-1]
+    for i, v in enumerate(scaled, start=1):
+        acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))
+        acc -= 2 * v.numerator * (q**i // v.denominator)
+        row.append(_halve(acc, f"C0[{i}]"))
+    return q, row
+
+
+def _rational_row(potential: PotentialSpec, q: int, k: int, numerators: list) -> tuple:
+    """C[k][i] = (m omega)^(1-k+i) N[k][i] / Q^(k+i) for every i of one row."""
+    mw = potential.mass * potential.omega
+    return tuple(mw ** (1 - k + i) * Fraction(n, q ** (k + i)) for i, n in enumerate(numerators))
+
+
 def c0_coefficients(potential: PotentialSpec, imax: int) -> tuple[Fraction, ...]:
     """Expand -sqrt(2 m V(r)) = r * sum_i c_i r^(2i) through i = imax.
 
@@ -43,15 +92,8 @@ def c0_coefficients(potential: PotentialSpec, imax: int) -> tuple[Fraction, ...]
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
-    m, omega = potential.mass, potential.omega
-    coeffs = [-m * omega]
-    denom = 2 * m * omega
-    for i in range(1, imax + 1):
-        acc = -2 * m * potential.coefficient(i)
-        for p in range(1, i):
-            acc += coeffs[p] * coeffs[i - p]
-        coeffs.append(acc / denom)
-    return tuple(coeffs)
+    q, row = _momentum_row(potential, imax)
+    return _rational_row(potential, q, 0, row)
 
 
 class CoefficientTable:
@@ -59,56 +101,54 @@ class CoefficientTable:
 
     Row 0 is the momentum Taylor series `c0`; rows 1..order hold the hbar^k
     Laurent coefficients.  `compute_series` builds it complete, and it is
-    read-only from then on.
+    read-only from then on.  It holds the integer numerators N[k][i]; a row
+    of rational entries, in the problem's own units, is built the first time
+    it is read and kept for later reads.
     """
 
-    def __init__(self, potential: PotentialSpec, state: QuantumState, rows: list):
+    def __init__(self, potential: PotentialSpec, state: QuantumState, q: int, rows: list):
         self.potential = potential
         self.state = state
         self.order = len(rows) - 1
         self.imax = self.order - 1
-        self.c0 = rows[0]
-        self._rows = tuple(tuple(row) for row in rows)
+        self._q = q
+        self._numerators = rows
+        self._rows = [None] * len(rows)
+
+    @property
+    def c0(self) -> tuple[Fraction, ...]:
+        """The momentum Taylor series c_0..c_imax."""
+        return self.row(0)
 
     def entry(self, k: int, i: int) -> Fraction:
         """C[k][i]; row 0 is the momentum Taylor series."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"level {k} outside 0..{self.order}")
+        row = self.row(k)
         if not 0 <= i <= self.imax:
             raise IndexError(f"column {i} outside 0..{self.imax}")
-        return self._rows[k][i]
+        return row[i]
 
     def row(self, k: int) -> tuple:
         """Row k as a tuple; row 0 is the momentum Taylor series."""
+        if not 0 <= k <= self.order:
+            raise IndexError(f"level {k} outside 0..{self.order}")
+        if self._rows[k] is None:
+            self._rows[k] = _rational_row(self.potential, self._q, k, self._numerators[k])
         return self._rows[k]
 
 
-def _convolution(rows: list, k: int, i: int, lo: int) -> Fraction:
-    """sum_{j=lo}^{k-lo} sum_{p=0}^{i} C[j][p] C[k-j][i-p].
+def _convolution(rows: list, k: int, i: int, lo: int) -> int:
+    """sum_{j=lo}^{k-lo} sum_{p=0}^{i} N[j][p] N[k-j][i-p], at exponent k+i.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
-    value) and skips zero factors, which is what keeps sparse (harmonic)
-    tables cheap.
+    value).
     """
-    acc = Fraction(0)
+    acc = 0
     for j in range(lo, (k - 1) // 2 + 1):
-        partial = Fraction(0)
-        row_a, row_b = rows[j], rows[k - j]
-        for p in range(i + 1):
-            a = row_a[p]
-            if a:
-                b = row_b[i - p]
-                if b:
-                    partial += a * b
-        acc += 2 * partial
+        acc += sum(map(mul, rows[j][:i + 1], rows[k - j][i::-1]))
+    acc *= 2
     if k % 2 == 0 and lo <= k // 2:
         row = rows[k // 2]
-        for p in range(i + 1):
-            a = row[p]
-            if a:
-                b = row[i - p]
-                if b:
-                    acc += a * b
+        acc += sum(map(mul, row[:i + 1], row[i::-1]))
     return acc
 
 
@@ -141,6 +181,14 @@ def compute_series(
     Producing E_K touches potential coefficients v_i only for i <= K-1 and
     nothing beyond the allocated rectangle, so enlarging the order never
     changes earlier entries.
+
+    Both identities run on the integer numerators of the module docstring:
+    at exponent k+i, C[k-1][i] is scaled by Q and l(l+1) by Q^2, the
+    convolutions need no scaling, and -2 c~_0 = 2, so
+
+        N[k][i] = [ (3-2k+2i) Q N[k-1][i] + conv + 2 sum_p N[0][p] N[k][i-p]
+                    - l(l+1) Q^2 (k==2)(i==0) ] / 2,
+        E_k = -omega (Q N[k-1][k-1] + conv) / (2 Q^(2k-1)).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -149,27 +197,23 @@ def compute_series(
             f"order {order} exceeds the cap of {max_order}; "
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
-    c0 = c0_coefficients(potential, order - 1)
+    q, c0 = _momentum_row(potential, order - 1)
     rows = [c0]
     corrections = []
     for k in range(1, order + 1):
         row = []
         rows.append(row)
+        prev = rows[k - 1]
         for i in range(order):
             if i == k - 1:
-                row.append(Fraction(state.principal if k == 1 else 0))
+                row.append(state.principal * q if k == 1 else 0)
                 continue
-            acc = (3 - 2 * k + 2 * i) * rows[k - 1][i]
-            acc += _convolution(rows, k, i, lo=1)
-            for p in range(1, i + 1):
-                a = c0[p]
-                if a:
-                    b = row[i - p]
-                    if b:
-                        acc += 2 * a * b
+            acc = (3 - 2 * k + 2 * i) * q * prev[i] + _convolution(rows, k, i, lo=1)
+            # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
+            acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
             if k == 2 and i == 0:
-                acc -= state.centrifugal
-            row.append(-acc / (2 * c0[0]))
-        acc = rows[k - 1][k - 1] + _convolution(rows, k, k - 1, lo=0)
-        corrections.append(-acc / (2 * potential.mass))
-    return CoefficientTable(potential, state, rows), EnergySeries(tuple(corrections))
+                acc -= state.centrifugal * q * q
+            row.append(_halve(acc, f"C[{k}][{i}]"))
+        acc = q * prev[k - 1] + _convolution(rows, k, k - 1, lo=0)
+        corrections.append(potential.omega * Fraction(-acc, 2 * q ** (2 * k - 1)))
+    return CoefficientTable(potential, state, q, rows), EnergySeries(tuple(corrections))

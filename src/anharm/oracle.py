@@ -148,7 +148,8 @@ def _numerov_setup(potential, state, energy, r_max, grid_points):
     t = (h * h / 12.0) * (base - 2.0 * m * energy)
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
-    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in r[:2])
+    # Python floats, so that the sweep loops run on floats, not numpy scalars.
+    u0, u1 = (float(x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4)) for x in r[:2])
     return r, t.tolist(), u0, u1
 
 

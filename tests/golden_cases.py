@@ -1,9 +1,10 @@
-"""Golden outputs: CLI transcripts, a --sweep directory and exact E_k at K = 32.
+"""Golden outputs: CLI transcripts, a --sweep directory and exact E_k at K = 32 and 64.
 
 `tests/test_golden.py` renders every case again and compares it byte for byte
 with the files under `tests/golden/`.  The files were recorded before the
-exact engine was reduced to a single fill loop; rewrite them only for a change
-that is meant to alter output:
+exact engine was reduced to a single fill loop, and the K = 64 series before it
+moved from `Fraction` cells to integers in oscillator units; rewrite them only
+for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
 
@@ -62,6 +63,11 @@ SERIES_CASES = {
     for n, l in ((0, 0), (1, 2))
 }
 SERIES_ORDER = 32
+# Deep series: one excited state of the quartic, one ground state off m = omega = 1.
+SERIES_K64_CASES = {
+    "quartic_n1_l2": (_QUARTIC, 1, 2),
+    "three_couplings_n0_l0": (_THREE_COUPLINGS, 0, 0),
+}
 
 
 def render_cli(name: str) -> dict[str, str]:
@@ -85,16 +91,17 @@ def render_cli(name: str) -> dict[str, str]:
     return {f"{name}.txt": transcript, **files}
 
 
-def render_series(name: str) -> dict[str, str]:
-    """E_1..E_32 of one problem as "p/q" strings."""
-    (mass, omega, couplings), n, l = SERIES_CASES[name]
+def render_series(name: str, order: int = SERIES_ORDER) -> dict[str, str]:
+    """E_1..E_order of one problem as "p/q" strings."""
+    cases = {SERIES_ORDER: SERIES_CASES, 64: SERIES_K64_CASES}[order]
+    (mass, omega, couplings), n, l = cases[name]
     potential = make_potential(Fraction(mass), Fraction(omega), [Fraction(v) for v in couplings])
-    _, series = compute_series(potential, make_state(n, l), SERIES_ORDER)
+    _, series = compute_series(potential, make_state(n, l), order)
     doc = {
         "mass": mass, "omega": omega, "v": couplings, "n": n, "l": l,
         "corrections": [format_rational(c) for c in series],
     }
-    return {f"series_k{SERIES_ORDER}/{name}.json": json.dumps(doc, indent=1) + "\n"}
+    return {f"series_k{order}/{name}.json": json.dumps(doc, indent=1) + "\n"}
 
 
 def main_write() -> None:
@@ -103,6 +110,8 @@ def main_write() -> None:
         rendered.update(render_cli(name))
     for name in SERIES_CASES:
         rendered.update(render_series(name))
+    for name in SERIES_K64_CASES:
+        rendered.update(render_series(name, 64))
     for rel, text in rendered.items():
         path = GOLDEN_DIR / rel
         path.parent.mkdir(parents=True, exist_ok=True)

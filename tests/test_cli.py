@@ -150,6 +150,15 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["order"] == 2
 
+    def test_negative_couplings_on_command_line(self, tmp_path, capsys):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"potential": {"v": ["1/10", "-1/50"]}, "order": 3}))
+        from_file = run_cli(capsys, ["compute", "--config", str(config)])
+        from_flags = run_cli(capsys, ["compute", "--v", "1/10", "-1/50", "--order", "3"])
+        assert from_flags == from_file
+        assert from_file[0] == 0
+        assert json.loads(from_file[1])["potential"]["v"] == ["1/10", "-1/50"]
+
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text("{")

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anharm.engine import OrderTooLarge, c0_coefficients, compute_series
+from anharm.engine import EngineError, OrderTooLarge, _halve, c0_coefficients, compute_series
 from anharm.model import make_potential, make_state
 
 from conftest import closed_form_corrections, random_problem, riccati_residuals
@@ -106,6 +108,8 @@ class TestTableOperations:
             table.entry(3, 0)
         with pytest.raises(IndexError):
             table.entry(1, 5)
+        with pytest.raises(IndexError):
+            table.row(-1)
 
 
 class TestEnergyCorrections:
@@ -213,3 +217,56 @@ class TestGuards:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             compute_series(make_potential(1, 1), make_state(0, 0), 0)
+
+
+# Denominators mixing the primes 2, 3, 5, 7, 11 and 13, so that the integer
+# engine's Q = 2 lcm(denominators of v~) carries odd primes, not only powers of 2.
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 21, 35, 100])
+_POSITIVE = st.builds(Fraction, st.integers(1, 12), _DENOMINATORS)
+_COUPLING = st.builds(Fraction, st.integers(-12, 12), _DENOMINATORS)
+
+
+def _oscillator_units(potential):
+    """v~_i = v_i / (m^(i+1) omega^(i+2)): the same problem at m = omega = 1."""
+    m, w = potential.mass, potential.omega
+    return [v / (m ** (i + 1) * w ** (i + 2)) for i, v in enumerate(potential.anharmonic, 1)]
+
+
+class TestExactProperties:
+    """Zero-tolerance identities over rational m, omega and mixed-prime couplings."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(_COUPLING, max_size=4),
+        other_v1=_COUPLING,
+        n=st.integers(0, 3),
+        l=st.integers(0, 3),
+        order=st.integers(1, 12),
+    )
+    def test_residuals_scaling_and_homogeneity(self, mass, omega, couplings, other_v1, n, l, order):
+        pot = make_potential(mass, omega, couplings)
+        state = make_state(n, l)
+        table, series = compute_series(pot, state, order)
+        assert all(r == 0 for r in riccati_residuals(table, series))
+
+        _, unit = compute_series(make_potential(1, 1, _oscillator_units(pot)), state, order)
+        assert list(series) == [omega * e for e in unit]
+
+        v1 = couplings[0] if couplings else Fraction(0)
+        _, quartic = compute_series(make_potential(mass, omega, [v1]), state, order)
+        _, other = compute_series(make_potential(mass, omega, [other_v1]), state, order)
+        for k in range(1, order + 1):
+            # E_k / v1^(k-1) does not depend on v1, multiplied out so v1 = 0 is allowed
+            assert (
+                quartic.correction(k) * other_v1 ** (k - 1)
+                == other.correction(k) * v1 ** (k - 1)
+            )
+
+
+class TestIntegerFill:
+    def test_odd_numerator_raises(self):
+        assert _halve(-6, "C[1][1]") == -3
+        with pytest.raises(EngineError, match="odd numerator at C\\[2\\]\\[0\\]"):
+            _halve(7, "C[2][0]")

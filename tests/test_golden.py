@@ -1,6 +1,8 @@
 import pytest
 
-from golden_cases import CLI_CASES, GOLDEN_DIR, SERIES_CASES, render_cli, render_series
+from golden_cases import (
+    CLI_CASES, GOLDEN_DIR, SERIES_CASES, SERIES_K64_CASES, render_cli, render_series,
+)
 
 
 def assert_matches_golden(rendered):
@@ -19,3 +21,8 @@ def test_cli_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(SERIES_CASES))
 def test_exact_series_matches_golden(name):
     assert_matches_golden(render_series(name))
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_K64_CASES))
+def test_exact_series_k64_matches_golden(name):
+    assert_matches_golden(render_series(name, 64))

@@ -2,12 +2,13 @@
 
 Subcommands: `compute` (exact correction series + partial sums),
 `check-harmonic` (exactness sweep over harmonic states), `validate`
-(series vs independent radial solver).  Exact rationals are serialized as
-"p/q" strings, floats as plain JSON numbers with 17 significant digits, so
+(series vs independent radial solver).  `compute` and `validate` share one
+runner, `--sweep` included.  Exact rationals are serialized as "p/q"
+strings, floats as plain JSON numbers with 17 significant digits, so
 identical configs produce byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 engine error,
-4 solver error.
+Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options
+included), 3 engine or resummation error, 4 solver error.
 """
 
 from __future__ import annotations
@@ -100,16 +101,8 @@ def _write_atomic(path: str, text: str) -> None:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         _write_atomic(output, text)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +117,9 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    for section in ("potential", "state", "pade", "oracle"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     return doc
 
 
@@ -137,6 +133,9 @@ def _pick(cli_value, file_value, default):
 
 @dataclasses.dataclass
 class Job:
+    """One problem and its output.  `solver` holds only the solver options
+    the user gave, as keyword arguments of `oracle.default_config`."""
+
     potential: object
     state: QuantumState
     order: int
@@ -144,7 +143,7 @@ class Job:
     output: str | None
     pade_degrees: tuple[int, int] | None
     coupling_index: int
-    oracle_options: dict
+    solver: dict
 
 
 def _parse_state_pair(text: str) -> tuple[int, int]:
@@ -165,6 +164,8 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
     mass = _pick(args.mass, pot_doc.get("mass"), "1")
     omega = _pick(args.omega, pot_doc.get("omega"), "1")
     v_list = _pick(args.v, pot_doc.get("v"), [])
+    pade_num = _pick(args.pade_num, pade_doc.get("num_degree"), None)
+    pade_den = _pick(args.pade_den, pade_doc.get("den_degree"), None)
     try:
         potential = make_potential(
             parse_rational(str(mass)),
@@ -175,31 +176,17 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
         l = int(_pick(args.l, state_doc.get("l"), 0))
         state = make_state(n, l)
         order = int(_pick(args.order, file_doc.get("order"), 8))
-    except ProblemSpecError:
+        if (pade_num is None) != (pade_den is None):
+            raise ConfigError("--pade-num and --pade-den must be given together")
+        degrees = None if pade_num is None else (int(pade_num), int(pade_den))
+        coupling_index = int(_pick(args.pade_coupling, pade_doc.get("coupling_index"), 1))
+    except (ConfigError, ProblemSpecError):
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    pade_num = _pick(args.pade_num, pade_doc.get("num_degree"), None)
-    pade_den = _pick(args.pade_den, pade_doc.get("den_degree"), None)
-    if (pade_num is None) != (pade_den is None):
-        raise ConfigError("--pade-num and --pade-den must be given together")
-    degrees = None if pade_num is None else (int(pade_num), int(pade_den))
-    coupling_index = int(_pick(args.pade_coupling, pade_doc.get("coupling_index"), 1))
-
-    oracle_options = {
-        "grid_points": int(_pick(args.grid_points, oracle_doc.get("grid_points"), 16000)),
-        "tolerance": float(_pick(args.tolerance, oracle_doc.get("tolerance"), 1e-12)),
-        "r_max": _pick(args.r_max, oracle_doc.get("r_max"), None),
-        "bracket": _pick(
-            tuple(args.bracket) if args.bracket else None,
-            tuple(oracle_doc["bracket"]) if oracle_doc.get("bracket") else None,
-            None,
-        ),
-    }
-    if oracle_options["r_max"] is not None:
-        oracle_options["r_max"] = float(oracle_options["r_max"])
-
+    options = ("grid_points", "tolerance", "r_max", "bracket")
+    picked = {key: _pick(getattr(args, key), oracle_doc.get(key), None) for key in options}
     job = Job(
         potential=potential,
         state=state,
@@ -208,7 +195,7 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
         output=_pick(args.output, file_doc.get("output"), None),
         pade_degrees=degrees,
         coupling_index=coupling_index,
-        oracle_options=oracle_options,
+        solver={key: value for key, value in picked.items() if value is not None},
     )
     sweep = [_parse_state_pair(s) for s in args.sweep] if args.sweep else []
     return job, sweep
@@ -227,8 +214,21 @@ def _pade_value(job: Job, series: EnergySeries) -> float | None:
     return resummation.pade(series, num, den, coupling)
 
 
-def _base_document(job: Job, series: EnergySeries) -> dict:
-    return {
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _run(job: Job, validate: bool) -> str:
+    """One problem as a JSON document or as CSV with one row per order.
+
+    `validate` adds the radial solver's energy and the deviation of each
+    partial sum (and of the Pade value) from it.
+    """
+    _, series = engine.compute_series(job.potential, job.state, job.order)
+    report = dataclasses.replace(
+        resummation.divergence_diagnostics(series), pade_value=_pade_value(job, series)
+    )
+    doc = {
         "potential": {
             "mass": format_rational(job.potential.mass),
             "omega": format_rational(job.potential.omega),
@@ -237,108 +237,56 @@ def _base_document(job: Job, series: EnergySeries) -> dict:
         "state": {"n": job.state.n, "l": job.state.l},
         "order": series.order,
         "corrections": [format_rational(c) for c in series],
-        "partial_sums": resummation.partial_sums(series),
+        "partial_sums": report.partial_sums,
     }
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _run_compute(job: Job) -> str:
-    _, series = engine.compute_series(job.potential, job.state, job.order)
-    doc = _base_document(job, series)
-    pade_value = _pade_value(job, series)
-    if pade_value is not None:
+    if report.pade_value is not None:
         num, den = job.pade_degrees
-        doc["pade"] = {"num_degree": num, "den_degree": den, "value": pade_value}
-    if job.fmt == "csv":
-        rows = [
-            [str(k), format_rational(c), _format_float(s)]
-            for k, (c, s) in enumerate(zip(series, doc["partial_sums"]), 1)
+        doc["pade"] = {"num_degree": num, "den_degree": den, "value": report.pade_value}
+    header = ["order", "correction", "partial_sum"]
+    columns = [
+        [str(k) for k in range(1, series.order + 1)],
+        doc["corrections"],
+        [_format_float(s) for s in report.partial_sums],
+    ]
+    if validate:
+        try:
+            config = oracle.default_config(job.potential, job.state, **job.solver)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        result = oracle.solve_radial(job.potential, config)
+        record = oracle.compare_with_series(result, report)
+        doc["oracle"] = {
+            "energy": result.energy,
+            "residual": result.residual_estimate,
+            "converged": result.converged,
+        }
+        doc["comparison"] = {
+            "deviations": record.deviations,
+            "relative_deviations": record.relative_deviations,
+            "pade_deviation": record.pade_deviation,
+            "pade_relative_deviation": record.pade_relative_deviation,
+            "best_order": record.best_order,
+        }
+        pade_text = "" if report.pade_value is None else _format_float(report.pade_value)
+        header += ["abs_deviation", "rel_deviation", "oracle_energy", "pade_value", "best_order"]
+        columns += [
+            [_format_float(d) for d in record.deviations],
+            [_format_float(d) for d in record.relative_deviations],
+            [_format_float(result.energy)] * series.order,
+            [pade_text] * series.order,
+            [str(record.best_order)] * series.order,
         ]
-        return _csv_text(["order", "correction", "partial_sum"], rows)
+    if job.fmt == "csv":
+        return "\n".join(",".join(row) for row in [header, *zip(*columns)]) + "\n"
     return _dumps(doc) + "\n"
 
 
-def _summation_report(series: EnergySeries, pade_value, degrees) -> resummation.SummationReport:
-    if series.order >= 6:
-        report = resummation.divergence_diagnostics(series)
-    else:
-        report = resummation.SummationReport(
-            partial_sums=tuple(resummation.partial_sums(series)),
-            ratios=tuple(resummation.term_ratios(series)),
-            growth_flag=False,
-            stability_flag=False,
-        )
-    if pade_value is not None:
-        report = dataclasses.replace(
-            report, pade_value=pade_value, pade_degrees=degrees
-        )
-    return report
-
-
-def _run_validate(job: Job) -> str:
-    _, series = engine.compute_series(job.potential, job.state, job.order)
-    pade_value = _pade_value(job, series)
-    report = _summation_report(series, pade_value, job.pade_degrees)
-    opts = job.oracle_options
-    config = oracle.default_config(
-        job.potential,
-        job.state,
-        grid_points=opts["grid_points"],
-        tolerance=opts["tolerance"],
-        r_max=opts["r_max"],
-        bracket=opts["bracket"],
-    )
-    result = oracle.solve_radial(job.potential, config)
-    record = oracle.compare_with_series(result, report)
-
-    doc = _base_document(job, series)
-    if pade_value is not None:
-        num, den = job.pade_degrees
-        doc["pade"] = {"num_degree": num, "den_degree": den, "value": pade_value}
-    doc["oracle"] = {
-        "energy": result.energy,
-        "residual": result.residual_estimate,
-        "converged": result.converged,
-    }
-    doc["comparison"] = {
-        "deviations": list(record.deviations),
-        "relative_deviations": list(record.relative_deviations),
-        "pade_deviation": record.pade_deviation,
-        "pade_relative_deviation": record.pade_relative_deviation,
-        "best_order": record.best_order,
-    }
-    if job.fmt == "csv":
-        rows = []
-        for k, correction in enumerate(series, 1):
-            rows.append(
-                [
-                    str(k),
-                    format_rational(correction),
-                    _format_float(doc["partial_sums"][k - 1]),
-                    _format_float(record.deviations[k - 1]),
-                    _format_float(record.relative_deviations[k - 1]),
-                    _format_float(result.energy),
-                    "" if pade_value is None else _format_float(pade_value),
-                    str(record.best_order),
-                ]
-            )
-        header = [
-            "order", "correction", "partial_sum", "abs_deviation",
-            "rel_deviation", "oracle_energy", "pade_value", "best_order",
-        ]
-        return _csv_text(header, rows)
-    return _dumps(doc) + "\n"
-
-
-def _run_sweep(job: Job, states: list[tuple[int, int]], runner) -> int:
+def _run_sweep(job: Job, states: list[tuple[int, int]], validate: bool) -> int:
     jobs = [
         dataclasses.replace(job, state=make_state(n, l), output=None)
         for n, l in states
     ]
-    texts = [runner(sub) for sub in jobs]
+    texts = [_run(sub, validate) for sub in jobs]
     if job.output is None:
         for text in texts:
             sys.stdout.write(text)
@@ -473,15 +421,18 @@ def main(argv=None) -> int:
         if args.command == "check-harmonic":
             return _run_check_harmonic(args.max_n, args.max_l, args.order)
         job, sweep = _build_job(args)
-        runner = _run_compute if args.command == "compute" else _run_validate
+        validate = args.command == "validate"
         if sweep:
-            return _run_sweep(job, sweep, runner)
-        _emit(runner(job), job.output)
+            return _run_sweep(job, sweep, validate)
+        _emit(_run(job, validate), job.output)
         return EXIT_OK
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (engine.EngineError, wavefunction.WavefunctionError, ValueError) as exc:
+    except (
+        engine.EngineError, wavefunction.WavefunctionError,
+        resummation.ResummationError, ValueError,
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except oracle.OracleError as exc:

@@ -11,13 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-# Carrier for all exact coefficients.  Fraction already guarantees the
-# canonical form we rely on: positive denominator, gcd-reduced, exact
-# arithmetic, ZeroDivisionError on division by zero.
-Rational = Fraction
-
-RationalLike = "Rational | int | str"
-
 
 class ProblemSpecError(ValueError):
     """Invalid problem description."""

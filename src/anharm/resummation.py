@@ -46,7 +46,6 @@ class SummationReport:
     growth_flag: bool
     stability_flag: bool
     pade_value: float | None = None
-    pade_degrees: tuple[int, int] | None = None
 
 
 def _to_float(value: Fraction) -> float:
@@ -134,23 +133,23 @@ def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling) -> fl
     return num / den
 
 
-def divergence_diagnostics(
-    series: EnergySeries, stability_tol: float = STABILITY_TOL
-) -> SummationReport:
+def divergence_diagnostics(series: EnergySeries) -> SummationReport:
     """Ratio and partial-sum diagnostics; read-only on the series.
 
     The growth flag is set when the ratio sequence is strictly increasing
     (and everywhere defined) over the final third of the available orders.
+    A series of fewer than 6 orders is too short to judge: its report holds
+    the partial sums and the ratios, with both flags False.
     """
-    if series.order < 6:
-        raise ValueError("divergence diagnostics need at least 6 orders")
     sums = tuple(partial_sums(series))
     ratios = tuple(term_ratios(series))
+    if series.order < 6:
+        return SummationReport(sums, ratios, growth_flag=False, stability_flag=False)
     tail = ratios[-max(2, math.ceil(len(ratios) / 3)):]
     growth = all(r is not None for r in tail) and all(
         a < b for a, b in zip(tail, tail[1:])
     )
-    stable = abs(sums[-1] - sums[-2]) <= stability_tol * max(1.0, abs(sums[-1]))
+    stable = abs(sums[-1] - sums[-2]) <= STABILITY_TOL * max(1.0, abs(sums[-1]))
     return SummationReport(
         partial_sums=sums,
         ratios=ratios,

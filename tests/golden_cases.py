@@ -2,15 +2,18 @@
 
 `tests/test_golden.py` renders every case again and compares it byte for byte
 with the files under `tests/golden/`.  The files were recorded before the
-exact engine was reduced to a single fill loop, and the K = 64 series before it
-moved from `Fraction` cells to integers in oscillator units; rewrite them only
-for a change that is meant to alter output:
+exact engine was reduced to a single fill loop, the K = 64 series before it
+moved from `Fraction` cells to integers in oscillator units, and
+`validate_short_csv` and `validate_config` before `compute` and `validate`
+came to share one runner; rewrite them only for a change that is meant to
+alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
 
 CLI cases run in-process through `anharm.cli.main`, which is what
-`python -m anharm` calls.  Each transcript holds the argv, the exit code,
-stdout and stderr.  The solver cases use a 4000-point grid to stay cheap.
+`python -m anharm` calls.  Each transcript holds the argv, the config file
+when the case has one, the exit code, stdout and stderr.  The solver cases use
+a 4000-point grid to stay cheap.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from anharm.model import format_rational, make_potential, make_state
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# "{out}" stands for a fresh output directory.
+# "{out}" stands for a fresh output directory, "{config}" for a file holding
+# the case's entry in CONFIG_FILES.
 CLI_CASES = {
     "compute_pade_json": [
         "compute", "--v", "1/100", "--order", "8", "--pade-num", "3", "--pade-den", "3",
@@ -46,6 +50,11 @@ CLI_CASES = {
         "validate", "--v", "1/100", "--n", "1", "--l", "1", "--order", "6",
         "--format", "csv", "--grid-points", "4000", "--tolerance", "1e-10",
     ],
+    "validate_short_csv": [
+        "validate", "--v", "1/100", "--order", "4", "--pade-num", "1", "--pade-den", "2",
+        "--grid-points", "4000", "--tolerance", "1e-10", "--format", "csv",
+    ],
+    "validate_config": ["validate", "--config", "{config}"],
     "sweep": [
         "compute", "--v", "1/100", "1/1000", "--order", "6",
         "--sweep", "0,0", "1,0", "2,1", "0,3", "--output", "{out}",
@@ -53,6 +62,16 @@ CLI_CASES = {
     "check_harmonic": ["check-harmonic"],
     "error_config": ["compute", "--pade-num", "3"],
     "error_engine": ["compute", "--order", "65"],
+    "error_pade": ["compute", "--v", "1", "--order", "17", "--pade-num", "8", "--pade-den", "8"],
+}
+
+# Every solver option, numbers given as strings where the file format allows.
+CONFIG_FILES = {
+    "validate_config": {
+        "potential": {"v": ["1/100"]},
+        "order": 5,
+        "oracle": {"grid_points": "4000", "tolerance": "1e-10", "r_max": 8, "bracket": [0, 5]},
+    },
 }
 
 _QUARTIC = ("1", "1", ["1/100"])
@@ -73,18 +92,25 @@ SERIES_K64_CASES = {
 def render_cli(name: str) -> dict[str, str]:
     """Transcript of one CLI case, plus every file it wrote, by golden path."""
     argv = CLI_CASES[name]
+    config = json.dumps(CONFIG_FILES[name]) + "\n" if name in CONFIG_FILES else ""
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(config)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([arg.replace("{out}", str(out_dir)) for arg in argv])
+            code = main([
+                arg.replace("{out}", str(out_dir)).replace("{config}", str(config_path))
+                for arg in argv
+            ])
         files = {
             f"{name}/{path.name}": path.read_text()
             for path in sorted(out_dir.iterdir())
         } if out_dir.exists() else {}
     transcript = (
         f"$ anharm {' '.join(argv)}\n"
-        f"exit {code}\n"
+        + (f"--- config\n{config}" if config else "")
+        + f"exit {code}\n"
         f"--- stdout\n{stdout.getvalue()}"
         f"--- stderr\n{stderr.getvalue()}"
     )

@@ -165,6 +165,23 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["compute", "--config", str(config)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"potential": []}, "'potential' must be a JSON object"),
+            ({"pade": {"num_degree": "x", "den_degree": 1}}, "invalid literal for int()"),
+            ({"state": {"n": [1]}}, "int() argument must be"),
+            ({"oracle": {"bracket": 5}}, "cannot unpack"),
+        ],
+        ids=["potential-list", "pade-degree-text", "state-list", "bracket-number"],
+    )
+    def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["validate", "--order", "3", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError:") and message in err
+
 
 class TestSweep:
     def test_sweep_writes_one_file_per_state(self, tmp_path, capsys):
@@ -234,6 +251,25 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert lines[0].startswith("order,correction,partial_sum,abs_deviation")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-points", "500"], "need at least 1000 grid points"),
+            (["--tolerance", "0"], "tolerance must be positive"),
+            (["--r-max", "-1"], "r_max must be positive"),
+            (["--bracket", "2", "1"], "bracket must satisfy lo < hi"),
+            (["--config", "{config}"], "invalid literal for int()"),
+        ],
+        ids=["grid-points", "tolerance", "r-max", "bracket", "config-grid-points"],
+    )
+    def test_invalid_solver_option_is_config_error(self, tmp_path, capsys, flags, message):
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"oracle": {"grid_points": "abc"}}))
+        argv = ["validate", "--order", "3"] + [f.replace("{config}", str(config)) for f in flags]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError:") and message in err
 
     def test_oracle_failure_exit_code(self, capsys):
         code, _, err = run_cli(

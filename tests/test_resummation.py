@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
 from anharm.resummation import (
     SingularPadeSystem,
+    SummationReport,
     divergence_diagnostics,
     pade,
     partial_sums,
@@ -138,9 +140,28 @@ class TestDivergenceDiagnostics:
         signs = [1 if c > 0 else -1 for c in list(series)[1:]]
         assert signs == [(-1) ** k for k in range(len(signs))]
 
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            divergence_diagnostics(EnergySeries((Fraction(1),) * 5))
+    def test_short_series_reports_sums_and_ratios_unflagged(self):
+        # Judged like a longer series, the first would set the growth flag
+        # (ratios 1, 2, 3, 4) and the second the stability flag (E_5 = 0).
+        growing = divergence_diagnostics(EnergySeries(tuple(map(Fraction, (1, 1, 2, 6, 24)))))
+        assert growing.partial_sums == (1.0, 2.0, 4.0, 10.0, 34.0)
+        assert growing.ratios == (1.0, 2.0, 3.0, 4.0)
+        terms = (Fraction(1), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 7), Fraction(0))
+        settled = divergence_diagnostics(EnergySeries(terms))
+        assert settled.partial_sums == tuple(
+            float(sum(terms[:k])) for k in range(1, 6)
+        )
+        assert settled.ratios == (float(Fraction(1, 3)), 1.0, float(Fraction(3, 7)), 0.0)
+        for report in (growing, settled):
+            assert report.growth_flag is False
+            assert report.stability_flag is False
+            assert report.pade_value is None
+
+    def test_report_has_no_pade_degrees(self):
+        names = [field.name for field in dataclasses.fields(SummationReport)]
+        assert names == [
+            "partial_sums", "ratios", "growth_flag", "stability_flag", "pade_value",
+        ]
 
     def test_reports_are_read_only(self):
         _, series = compute_series(make_potential(1, 1), make_state(0, 0), 6)

@@ -1,26 +1,36 @@
 """Independent numeric eigenvalue solver for the radial equation.
 
 Solves  -U''/(2m) + [l(l+1)/(2m r^2) + V(r)] U = E U  (hbar = 1) on a uniform
-grid by outward Numerov integration with node counting and energy bisection.
-The interior node count of the outward solution is a monotone step function
-of E that jumps by one exactly at each box eigenvalue, so bisecting on
-"count > n" converges to the level with n radial nodes without ever chasing a
-neighbor state.  Everything here is floating point; it exists to validate the
-exact series from the outside.
+grid by outward Numerov integration (in Henrici's summed form) with node
+counting.  The interior node count of the outward solution is a monotone step
+function of E that jumps by one exactly at each box eigenvalue, where the
+boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
+bracket holds only that jump isolates the level with n radial nodes without
+ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
+count deciding which end moves, then converge on it.  Everything here is
+floating point; it exists to validate the exact series from the outside.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .model import PotentialSpec, QuantumState
 from .resummation import SummationReport
 
-_MAX_BISECTIONS = 200
+_MAX_STEPS = 200
 _RESCALE_LIMIT = 1e250
+_LOG_RESCALE = math.log(_RESCALE_LIMIT)
+_LN2 = math.log(2.0)
+# WKB decay, integral of sqrt(2m (V_eff - E)) dr, that the default box adds
+# beyond the outer turning point of the upper bracket energy.
+_DECAY_MARGIN = 20.0
+# Half width, relative to max(1, |E|), of the half-grid solve's first bracket.
+_SEED_WIDTH = 1e-7
 
 
 class OracleError(Exception):
@@ -75,24 +85,55 @@ class ComparisonRecord:
     best_order: int
 
 
-def _potential_floats(potential: PotentialSpec):
+def _v_eff(potential: PotentialSpec, l: int, r: np.ndarray) -> np.ndarray:
+    """l(l+1)/(2m r^2) + V(r), the effective radial potential.
+
+    Built in place: r, one scratch array and the result are the only arrays
+    of grid size alive at once.
+    """
     m = float(potential.mass)
-    omega = float(potential.omega)
-    vs = [float(v) for v in potential.anharmonic]
-    return m, omega, vs
-
-
-def _potential_values(potential: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    m, omega, vs = _potential_floats(potential)
-    v = 0.5 * m * omega * omega * r * r
-    for i, vi in enumerate(vs, 1):
-        v = v + vi * r ** (2 * i + 2)
+    r2 = r * r
+    v = (l * (l + 1) / (2.0 * m)) / r2
+    r2 *= 0.5 * m * float(potential.omega) ** 2
+    v += r2
+    for i, vi in enumerate(potential.anharmonic, 1):
+        np.power(r, 2 * i + 2, out=r2)
+        r2 *= float(vi)
+        v += r2
     return v
 
 
 def first_order_energy(potential: PotentialSpec, state: QuantumState) -> float:
-    """Oscillator estimate (2n + l + 3/2) omega used for box and bracket sizing."""
+    """Oscillator estimate (2n + l + 3/2) omega used for bracket sizing."""
     return (2 * state.n + state.l + 1.5) * float(potential.omega)
+
+
+def _box_radius(potential: PotentialSpec, l: int, energy: float) -> float:
+    """Outer turning point of `energy` plus a WKB decay of _DECAY_MARGIN.
+
+    Scans r geometrically (1% steps) from a thousandth of the oscillator length
+    out to 1e6.  The decay is the trapezoid sum of sqrt(2m (V_eff - E)) from
+    the last classically allowed sample outward.
+    """
+    m = float(potential.mass)
+    length = 1.0 / math.sqrt(m * float(potential.omega))
+    r = np.geomspace(1e-3 * length, 1e6, 2400)
+    excess = 2.0 * m * (_v_eff(potential, l, r) - energy)
+    allowed = np.flatnonzero(excess < 0.0)
+    if allowed.size == 0:
+        raise BracketingFailure(
+            f"upper bracket energy {energy} lies below the potential everywhere"
+        )
+    tail = allowed[-1]
+    kappa = np.sqrt(np.maximum(excess[tail:], 0.0))
+    decay = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(r[tail:]))
+    beyond = np.flatnonzero(decay >= _DECAY_MARGIN)
+    if beyond.size == 0:
+        raise BracketingFailure(
+            "potential never reaches the confinement level; "
+            "refusing a non-confining potential"
+        )
+    return float(r[tail + 1 + beyond[0]])
 
 
 def default_config(
@@ -103,86 +144,118 @@ def default_config(
     r_max: float | None = None,
     bracket: tuple[float, float] | None = None,
 ) -> OracleConfig:
-    """Sized so boundary truncation is negligible against the tolerance.
+    """Box and bracket sized from the energy, so truncation is negligible.
 
-    The box radius is pushed out until V(r_max) clears the oscillator energy
-    estimate by 25 quanta, which suppresses the tail leakage far below any
-    achievable grid accuracy.  Raises BracketingFailure for potentials that
-    never reach that level (non-confining float coefficients).
+    The upper bracket end is 3 e + 10, e the oscillator estimate of the
+    state.  The box radius is the outer turning point of the upper bracket
+    energy plus a WKB decay of exp(-_DECAY_MARGIN) beyond it, which every
+    energy in the bracket exceeds.  The lower end is the minimum of V_eff on
+    the grid, where no solution has a node.  Raises BracketingFailure for
+    potentials that do not confine within r = 1e6.
     """
-    e_top = first_order_energy(potential, state)
+    upper = 3.0 * first_order_energy(potential, state) + 10.0
+    if bracket is not None:
+        _, upper = bracket
     if r_max is None:
-        target = e_top + 25.0 * float(potential.omega)
-        r = 1.0
-        while float(_potential_values(potential, np.array([r]))[0]) < target:
-            r *= 1.0625
-            if r > 1e6:
-                raise BracketingFailure(
-                    "potential never reaches the confinement level; "
-                    "refusing a non-confining potential"
-                )
-        r_max = r
-    if bracket is None:
-        bracket = (0.0, 3.0 * e_top + 10.0)
-    return OracleConfig(
+        r_max = _box_radius(potential, state.l, float(upper))
+    config = OracleConfig(
         r_max=float(r_max),
         grid_points=int(grid_points),
         target_state=state,
-        bracket=bracket,
+        bracket=(-math.inf, upper) if bracket is None else bracket,
         tolerance=float(tolerance),
     )
+    if bracket is None:
+        # The lower end is the minimum of V_eff on the grid, now validated.
+        g = config.grid_points
+        v = _v_eff(potential, state.l, np.arange(1, g + 1) * (config.r_max / g))
+        config = replace(config, bracket=(float(v.min()), upper))
+    return config
 
 
-def _numerov_setup(potential, state, energy, r_max, grid_points):
-    """Grid r, Numerov factors t (as a list) and the first two values of U.
+def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
+    """Step h, radii r_j = j h (j = 1..g) and the energy-free part of the
+    Numerov factor t_j = (h^2/12) 2m (V_eff(r_j) - E), as a list."""
+    h = r_max / grid_points
+    r = np.arange(1, grid_points + 1) * h
+    tv = _v_eff(potential, l, r)
+    tv *= h * h / 6.0 * float(potential.mass)
+    return h, r, tv.tolist()
 
-    The first two values come from the small-r power series
-    r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order.
+
+def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: float, tv):
+    """Energy part c of t_j = tv_j - c, and the summed-form state at r = 2h.
+
+    Returns (c, U(h), U(2h), t(2h), y(2h), d(2h)) with y = (1 - t) U and
+    d_j = y_j - y_(j-1).  The two values of U come from the small-r series
+    r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; they are
+    Python floats, so that the sweep loops run on floats.
     """
-    m, omega, _ = _potential_floats(potential)
-    l = state.l
-    g = int(grid_points)
-    h = r_max / g
-    r = np.arange(1, g + 1) * h
-    base = l * (l + 1) / (r * r) + 2.0 * m * _potential_values(potential, r)
-    t = (h * h / 12.0) * (base - 2.0 * m * energy)
+    m, omega, l = float(potential.mass), float(potential.omega), state.l
+    c = h * h / 6.0 * m * energy
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
-    # Python floats, so that the sweep loops run on floats, not numpy scalars.
-    u0, u1 = (float(x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4)) for x in r[:2])
-    return r, t.tolist(), u0, u1
+    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in (h, 2.0 * h))
+    t = tv[1] - c
+    y = (1.0 - t) * u1
+    return c, u0, u1, t, y, y - (1.0 - (tv[0] - c)) * u0
 
 
-def _integrate(potential, state, energy, r_max, grid_points):
-    """Outward Numerov sweep; returns (interior node count, boundary value).
+def _integrate(potential, state, energy, h, tv):
+    """One outward Numerov sweep in summed form.
 
-    The solution is rescaled in the forbidden region to avoid overflow (which
-    changes neither node locations nor the boundary sign).
+    Returns (interior node count, u(r_max), rescales): the boundary value is
+    u(r_max) * _RESCALE_LIMIT**rescales.  The recurrence
+    y_(j+1) - 2 y_j + y_(j-1) = 12 t_j U_j is summed through the differences
+    d (Henrici), which keeps the round-off at O(eps) instead of O(eps/h^2).
+    The solution is rescaled in the forbidden region to avoid overflow, which
+    changes neither node locations nor the boundary sign.
     """
-    _, tl, u_prev, u_cur = _numerov_setup(potential, state, energy, r_max, grid_points)
-    nodes = 0
-    sign = math.copysign(1.0, u_cur)
-    for j in range(1, len(tl) - 1):
-        u_next = ((2.0 + 10.0 * tl[j]) * u_cur - (1.0 - tl[j - 1]) * u_prev) / (
-            1.0 - tl[j + 1]
-        )
-        u_prev, u_cur = u_cur, u_next
-        s = math.copysign(1.0, u_cur)
-        if s != sign:
+    c, _, u, t, y, d = _start(potential, state, energy, h, tv)
+    nodes = rescales = 0
+    sign = math.copysign(1.0, u)
+    limit = _RESCALE_LIMIT
+    for p in islice(tv, 2, None):
+        d += 12.0 * t * u
+        y += d
+        t = p - c
+        u = y / (1.0 - t)
+        size = u * sign
+        if size < 0.0:
             nodes += 1
-            sign = s
-        if abs(u_cur) > _RESCALE_LIMIT:
-            u_prev /= _RESCALE_LIMIT
-            u_cur /= _RESCALE_LIMIT
-    return nodes, u_cur
+            sign = -sign
+        elif size > limit:
+            u /= limit
+            y /= limit
+            d /= limit
+            rescales += 1
+    return nodes, u, rescales
+
+
+def _log_size(u: float, rescales: int) -> float:
+    """log |u * _RESCALE_LIMIT**rescales|."""
+    return math.log(abs(u) or 5e-324) + rescales * _LOG_RESCALE
 
 
 def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
-    """Shrink [lo, hi] around the energy where the node count jumps past n."""
+    """Shrink [lo, hi] around the energy where the node count jumps past n.
+
+    First bisects on the node count until nodes(lo) = n and nodes(hi) = n + 1,
+    which isolates the level.  Then takes Illinois steps on the boundary value
+    u(r_max; E), whose zero is where the count jumps: regula falsi on
+    |u| * _RESCALE_LIMIT**rescales, halving the value kept at one end each
+    time the end that the last regula falsi step moved moves again.  The node
+    count, not the sign, decides which end moves, and a plain bisection step
+    is taken whenever the bracket has not halved over the last two steps.
+    Returns (lo, hi, node count at lo).
+    """
     n = state.n
+    h, _, tv = _grid(potential, state.l, r_max, grid_points)
     lo, hi = bracket
-    nodes_lo, _ = _integrate(potential, state, lo, r_max, grid_points)
-    nodes_hi, _ = _integrate(potential, state, hi, r_max, grid_points)
+    nodes_lo, u, k = _integrate(potential, state, lo, h, tv)
+    size_lo = _log_size(u, k)
+    nodes_hi, u, k = _integrate(potential, state, hi, h, tv)
+    size_hi = _log_size(u, k)
     if nodes_lo > n:
         raise BracketingFailure(
             f"lower bracket energy {lo} already has {nodes_lo} nodes (want {n})"
@@ -192,11 +265,13 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
             f"upper bracket energy {hi} shows only {nodes_hi} nodes; "
             f"no level with {n} nodes inside the bracket"
         )
-    iterations = 0
+    steps = 0
+    widths = [math.inf, math.inf]  # bracket width two steps and one step back
+    run = 0  # +1 (-1): the last regula falsi step moved hi (lo)
     while hi - lo > tolerance:
-        if iterations >= _MAX_BISECTIONS:
+        if steps >= _MAX_STEPS:
             raise NotConverged(
-                f"bracket width {hi - lo:.3e} after {iterations} bisections "
+                f"bracket width {hi - lo:.3e} after {steps} steps "
                 f"(tolerance {tolerance:.3e})"
             )
         mid = 0.5 * (lo + hi)
@@ -205,13 +280,32 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
                 f"bisection stalled at machine resolution, width {hi - lo:.3e} "
                 f"> tolerance {tolerance:.3e}"
             )
-        count, _ = _integrate(potential, state, mid, r_max, grid_points)
+        energy = mid
+        falsi = nodes_lo == n and nodes_hi == n + 1 and hi - lo <= 0.5 * widths[0]
+        if falsi:
+            # |u(hi)| / |u(lo)|; the two values have opposite signs.
+            ratio = math.exp(max(-700.0, min(700.0, size_hi - size_lo)))
+            # Never closer than half the tolerance to an end, so that a point
+            # converging on the level from one side closes the bracket.
+            nudge = min(0.5 * tolerance, 0.25 * (hi - lo))
+            energy = min(max(lo + (hi - lo) / (1.0 + ratio), lo + nudge), hi - nudge)
+            if not lo < energy < hi:
+                energy, falsi = mid, False
+        widths = [widths[1], hi - lo]
+        count, u, k = _integrate(potential, state, energy, h, tv)
+        size = _log_size(u, k)
         if count > n:
-            hi = mid
+            if run == 1:
+                size_lo -= _LN2
+            hi, nodes_hi, size_hi = energy, count, size
         else:
-            lo = mid
-        iterations += 1
-    return lo, hi
+            if run == -1:
+                size_hi -= _LN2
+            lo, nodes_lo, size_lo = energy, count, size
+        if falsi:
+            run = 1 if count > n else -1
+        steps += 1
+    return lo, hi, nodes_lo
 
 
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
@@ -219,23 +313,30 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
 
     Solves on the configured grid and once more on a half-resolution grid;
     the difference is a conservative error estimate for the returned
-    (fine-grid) energy.
+    (fine-grid) energy.  The half-grid solve starts from the fine energy
+    +- _SEED_WIDTH max(1, |E|) and falls back to the configured bracket only
+    when that does not straddle its level.
     """
     state = config.target_state
-    lo, hi = _bisect_on_nodes(
+    lo, hi, node_count = _bisect_on_nodes(
         potential, state, config.bracket, config.r_max,
         config.grid_points, config.tolerance,
     )
     energy = 0.5 * (lo + hi)
-    coarse_lo, coarse_hi = _bisect_on_nodes(
-        potential, state, config.bracket, config.r_max,
-        max(1000, config.grid_points // 2), config.tolerance,
-    )
+    seed = _SEED_WIDTH * max(1.0, abs(energy))
+    coarse_points = max(1000, config.grid_points // 2)
+    try:
+        coarse_lo, coarse_hi, _ = _bisect_on_nodes(
+            potential, state, (energy - seed, energy + seed), config.r_max,
+            coarse_points, config.tolerance,
+        )
+    except BracketingFailure:
+        coarse_lo, coarse_hi, _ = _bisect_on_nodes(
+            potential, state, config.bracket, config.r_max,
+            coarse_points, config.tolerance,
+        )
     coarse = 0.5 * (coarse_lo + coarse_hi)
     residual = max(abs(energy - coarse), 2.0 * config.tolerance)
-    node_count, _ = _integrate(
-        potential, state, lo, config.r_max, config.grid_points
-    )
     return OracleResult(
         energy=energy,
         node_count=node_count,
@@ -254,15 +355,19 @@ def wavefunction_samples(
     """Outward-integrated radial function at a fixed energy, max-normalized.
 
     Returns (r, U) arrays on the interior grid; useful for inspecting the
-    eigenfunction behind a converged solve_radial energy.
+    eigenfunction behind a converged solve_radial energy.  Uses the same
+    grid, start values and summed-form update as the solver's sweep.
     """
-    r, tl, u0, u1 = _numerov_setup(potential, state, energy, r_max, grid_points)
-    u = [u0, u1] + [0.0] * (len(tl) - 2)
-    for j in range(1, len(tl) - 1):
-        u[j + 1] = ((2.0 + 10.0 * tl[j]) * u[j] - (1.0 - tl[j - 1]) * u[j - 1]) / (
-            1.0 - tl[j + 1]
-        )
-    out = np.array(u)
+    h, r, tv = _grid(potential, state.l, r_max, grid_points)
+    c, u0, u, t, y, d = _start(potential, state, energy, h, tv)
+    values = [u0, u]
+    for p in islice(tv, 2, None):
+        d += 12.0 * t * u
+        y += d
+        t = p - c
+        u = y / (1.0 - t)
+        values.append(u)
+    out = np.array(values)
     peak = np.max(np.abs(out))
     if peak > 0:
         out /= peak

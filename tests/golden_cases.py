@@ -5,8 +5,10 @@ with the files under `tests/golden/`.  The files were recorded before the
 exact engine was reduced to a single fill loop, the K = 64 series before it
 moved from `Fraction` cells to integers in oscillator units, and
 `validate_short_csv` and `validate_config` before `compute` and `validate`
-came to share one runner; rewrite them only for a change that is meant to
-alter output:
+came to share one runner.  The four `validate_*` transcripts carry solver
+energies; they were re-recorded when the solver moved to the summed-form
+sweep, the Illinois stop and the energy-sized box.  Rewrite the files only
+for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
 

@@ -108,9 +108,10 @@ def test_criterion_4_oracle_agreement_at_weak_coupling():
     asymptotic and alternates from E_2 on, and consecutive partial sums
     bracket the energy: the remainder after S_K has the sign of E_{K+1} and is
     smaller.  The only slack allowed is the solver's own residual estimate
-    (at most ~2.4e-11 here, against a closest approach of ~3.8e-8).  The check
-    is one-sided but strict: scaling E_2 by 1 +/- 1/100 breaks it in every
-    state, which the companion assertion confirms on the same solver energies.
+    (2e-12 here, twice the tolerance, against a closest approach of ~3.8e-8).
+    The check is one-sided but strict: scaling E_2 by 1 +/- 1/100 breaks it in
+    every state, which the companion assertion confirms on the same solver
+    energies.
 
     A fixed bound such as |S_8 - E| < 1e-8 is unattainable: the order-8
     remainder is 0.61-0.76 |E_9| (1.2e-7 for (0,0), 1.9e-5 for (1,0), 1.6e-6

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anharm import oracle
 from anharm.engine import compute_series
 from anharm.model import make_potential, make_state
 from anharm.oracle import (
@@ -21,6 +22,19 @@ HARMONIC = make_potential(1, 1)
 # Converged value for v_1 = 1/100, ground state: shooting on a 24k grid and a
 # Richardson-extrapolated finite-difference matrix agree on these digits.
 QUARTIC_001_GROUND = 1.535648278311
+
+# (mass, omega, couplings), (n, l), level from a harmonic-oscillator-basis
+# diagonalisation that agrees with itself to 1e-11 across basis sizes (basis
+# frequency 3 for v1 = 10, and 2 for the negative well, whose level sits in a
+# shell near r = 2.6).  Away from weak coupling, and for a well that dips
+# below zero, the default box and bracket must follow the energy of the state.
+REFERENCE_LEVELS = [
+    ((1, 1, [Fraction(1, 10)]), (0, 0), 1.769502643949054),
+    ((1, 1, [Fraction(1)]), (0, 0), 2.737892268008434),
+    ((1, 1, [Fraction(1)]), (1, 2), 13.85960722928434),
+    ((1, 1, [Fraction(10)]), (0, 0), 5.321608256261253),
+    ((1, Fraction(1, 4), [Fraction(-1), Fraction(1, 10)]), (0, 0), -11.13035764463604),
+]
 
 
 def _solve(potential, n, l, grid_points=5000, tolerance=1e-11):
@@ -66,6 +80,19 @@ class TestGridRefinement:
         assert abs(fine.energy - coarse.energy) < coarse.residual_estimate
 
 
+    def test_half_grid_level_outside_seed_bracket(self):
+        # A coarse box step: the half-grid level lies beyond the fine energy
+        # +- 1e-7 max(1, |E|), so the half-grid solve widens to the bracket.
+        config = OracleConfig(
+            r_max=52.0, grid_points=2000, target_state=make_state(0, 0),
+            bracket=(0.0, 14.5), tolerance=1e-10,
+        )
+        result = solve_radial(HARMONIC, config)
+        assert result.converged
+        assert result.residual_estimate > 1.5e-7
+        assert abs(result.energy - 1.5) < result.residual_estimate
+
+
 class TestQuarticWeakCoupling:
     def test_ground_state_energy(self):
         pot = make_potential(1, 1, [Fraction(1, 100)])
@@ -79,6 +106,37 @@ class TestQuarticWeakCoupling:
         _, series = compute_series(pot, make_state(0, 0), 16)
         result = _solve(pot, 0, 0, grid_points=16000, tolerance=1e-12)
         assert abs(partial_sums(series)[-1] - result.energy) < 1e-9
+
+
+class TestDefaultConfig:
+    @pytest.mark.parametrize("problem, state, reference", REFERENCE_LEVELS)
+    def test_reference_levels(self, problem, state, reference):
+        potential = make_potential(*problem)
+        result = solve_radial(potential, default_config(potential, make_state(*state)))
+        assert result.node_count == state[0]
+        assert result.converged
+        # 1e-11: the convergence level of the reference itself
+        assert abs(result.energy - reference) <= result.residual_estimate + 1e-11
+
+    @pytest.mark.parametrize(
+        "problem, state",
+        [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
+        + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
+    )
+    def test_sweep_budget(self, monkeypatch, problem, state):
+        """The sweeps are the solver's whole cost; count them, not seconds."""
+        sweeps = 0
+        sweep = oracle._integrate
+
+        def counted(*args):
+            nonlocal sweeps
+            sweeps += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        potential = make_potential(*problem)
+        solve_radial(potential, default_config(potential, make_state(*state)))
+        assert sweeps <= 30  # fine and half grid together
 
 
 class TestFailureModes:

@@ -3,12 +3,14 @@
 Subcommands: `compute` (exact correction series + partial sums),
 `check-harmonic` (exactness sweep over harmonic states), `validate`
 (series vs independent radial solver).  `compute` and `validate` share one
-runner, `--sweep` included.  Exact rationals are serialized as "p/q"
+runner, `--sweep` included.  `--pade-num`/`--pade-den` add the Pade value,
+computed exact and rounded once.  Exact rationals are serialized as "p/q"
 strings, floats as plain JSON numbers with 17 significant digits, so
 identical configs produce byte-identical output.
 
 Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options
-included), 3 engine or resummation error, 4 solver error.
+included), 3 engine or resummation error (an exactly singular Pade system
+included), 4 solver error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from fractions import Fraction
 
 from . import engine, oracle, resummation, wavefunction
 from .model import (
-    EnergySeries,
     ProblemSpecError,
     QuantumState,
     format_rational,
@@ -142,7 +143,6 @@ class Job:
     fmt: str
     output: str | None
     pade_degrees: tuple[int, int] | None
-    coupling_index: int
     solver: dict
 
 
@@ -179,7 +179,6 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
         if (pade_num is None) != (pade_den is None):
             raise ConfigError("--pade-num and --pade-den must be given together")
         degrees = None if pade_num is None else (int(pade_num), int(pade_den))
-        coupling_index = int(_pick(args.pade_coupling, pade_doc.get("coupling_index"), 1))
     except (ConfigError, ProblemSpecError):
         raise
     except (TypeError, ValueError) as exc:
@@ -194,24 +193,10 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
         fmt=_pick(args.format, file_doc.get("format"), "json"),
         output=_pick(args.output, file_doc.get("output"), None),
         pade_degrees=degrees,
-        coupling_index=coupling_index,
         solver={key: value for key, value in picked.items() if value is not None},
     )
     sweep = [_parse_state_pair(s) for s in args.sweep] if args.sweep else []
     return job, sweep
-
-
-def _pade_value(job: Job, series: EnergySeries) -> float | None:
-    if job.pade_degrees is None:
-        return None
-    coupling = job.potential.coefficient(job.coupling_index)
-    if coupling == 0:
-        raise ConfigError(
-            f"designated coupling v_{job.coupling_index} is zero; "
-            "choose another index with --pade-coupling"
-        )
-    num, den = job.pade_degrees
-    return resummation.pade(series, num, den, coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +210,8 @@ def _run(job: Job, validate: bool) -> str:
     partial sum (and of the Pade value) from it.
     """
     _, series = engine.compute_series(job.potential, job.state, job.order)
-    report = dataclasses.replace(
-        resummation.divergence_diagnostics(series), pade_value=_pade_value(job, series)
-    )
+    pade_value = None if job.pade_degrees is None else resummation.pade(series, *job.pade_degrees)
+    report = dataclasses.replace(resummation.divergence_diagnostics(series), pade_value=pade_value)
     doc = {
         "potential": {
             "mass": format_rational(job.potential.mass),
@@ -368,10 +352,6 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--pade-num", type=int, help="Pade numerator degree")
     parser.add_argument("--pade-den", type=int, help="Pade denominator degree")
-    parser.add_argument(
-        "--pade-coupling", type=int,
-        help="index i of the v_i used as expansion parameter (default 1)",
-    )
     parser.add_argument("--grid-points", type=int, help="solver grid points")
     parser.add_argument("--r-max", type=float, help="solver box radius")
     parser.add_argument("--tolerance", type=float, help="solver energy tolerance")

@@ -324,7 +324,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     )
     energy = 0.5 * (lo + hi)
     seed = _SEED_WIDTH * max(1.0, abs(energy))
-    coarse_points = max(1000, config.grid_points // 2)
+    coarse_points = config.grid_points // 2
     try:
         coarse_lo, coarse_hi, _ = _bisect_on_nodes(
             potential, state, (energy - seed, energy + seed), config.r_max,

@@ -3,22 +3,18 @@
 The weak-coupling expansion is asymptotic: terms shrink at first, then grow
 factorially.  This module turns an EnergySeries into floats -- cumulative
 partial sums, term-ratio diagnostics that expose the divergence, and Pade
-approximants that resum beyond the optimal truncation point.
+approximants that resum beyond the optimal truncation point.  Every value is
+computed exact, in rationals, and rounded once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .model import EnergySeries
-
-# Condition-number ceiling for the denominator solve; beyond this the
-# requested degrees are declared unusable rather than silently inaccurate.
-PADE_CONDITION_LIMIT = 1e12
 
 # Relative change between the last two partial sums below which the
 # truncated series is reported as stable.
@@ -30,7 +26,7 @@ class ResummationError(Exception):
 
 
 class SingularPadeSystem(ResummationError):
-    """Denominator linear system numerically singular; lower the degrees."""
+    """Denominator linear system exactly singular, or Q = 0 at the coupling."""
 
 
 @dataclass(frozen=True)
@@ -75,14 +71,17 @@ def term_ratios(series: EnergySeries) -> list[float | None]:
     return out
 
 
-def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling) -> float:
+def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling=1) -> float:
     """[num/den] Pade approximant of the reduced series, evaluated at the coupling.
 
-    The corrections are first re-expressed as a power series in the coupling
-    (reduced coefficients E_{j+1}/coupling^j, exact when the coupling is
-    rational), so for a pure quartic term the reduced series is the
-    weak-coupling expansion itself.  The denominator coefficients come from a
-    pivoted linear solve; an ill-conditioned system raises SingularPadeSystem.
+    The reduced series sum_j (E_{j+1}/x^j) y^j, evaluated at y = x, is the
+    series sum_j E_{j+1} s^j at s = 1, and a Pade approximant does not change
+    when its variable is rescaled.  So the value is the same for every nonzero
+    coupling x, and the approximant is built from E_1..E_{num+den+1} directly.
+    Everything is exact, rounded once: the coefficients are scaled to
+    integers, the denominator system is solved by fraction-free (Bareiss)
+    Gauss-Jordan elimination, and P(1)/Q(1) is one rational.
+    SingularPadeSystem means the system is exactly singular or Q(1) = 0.
     """
     if num_degree < 0 or den_degree < 0:
         raise ValueError("Pade degrees must be non-negative")
@@ -92,45 +91,44 @@ def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling) -> fl
             f"[{num_degree}/{den_degree}] needs {needed} coefficients, "
             f"series has {series.order}"
         )
-    x = Fraction(coupling)
-    if x == 0:
+    if Fraction(coupling) == 0:
         raise ValueError("coupling must be nonzero to reduce the series")
-    reduced = [_to_float(term / x**j) for j, term in enumerate(series)]
-    c = reduced[:needed]
-
-    q = den_degree
-    b = np.ones(q + 1)
-    if q > 0:
-        rows = []
-        rhs = []
-        for s in range(1, q + 1):
-            rows.append(
-                [c[num_degree - m + s] if num_degree - m + s >= 0 else 0.0 for m in range(1, q + 1)]
-            )
-            rhs.append(-c[num_degree + s])
-        a_mat = np.array(rows, dtype=float)
-        if not np.all(np.isfinite(a_mat)) or np.linalg.cond(a_mat) > PADE_CONDITION_LIMIT:
-            raise SingularPadeSystem(
-                f"denominator system for [{num_degree}/{den_degree}] is "
-                "numerically singular; lower the degrees"
-            )
-        try:
-            b[1:] = np.linalg.solve(a_mat, np.array(rhs, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SingularPadeSystem(str(exc)) from exc
-    a = [
-        sum(b[m] * c[i - m] for m in range(0, min(i, q) + 1))
-        for i in range(num_degree + 1)
+    terms = list(series)[:needed]
+    scale = math.lcm(*(t.denominator for t in terms))
+    c = [t.numerator * (scale // t.denominator) for t in terms]
+    # sum_{m=0}^{den} b_m c_{num+s-m} = 0 for s = 1..den, with b_0 = 1; the
+    # augmented column holds -c_{num+s}.  After elimination every diagonal
+    # entry is the last pivot, det (the determinant up to sign), and
+    # b_m = rows[m-1][den] / det.
+    rows = [
+        [c[num_degree + s - m] if num_degree + s >= m else 0 for m in range(1, den_degree + 1)]
+        + [-c[num_degree + s]]
+        for s in range(1, den_degree + 1)
     ]
-
-    xf = float(x)
-    num = 0.0
-    for coeff in reversed(a):
-        num = num * xf + coeff
-    den = 0.0
-    for coeff in reversed(b.tolist()):
-        den = den * xf + coeff
-    return num / den
+    det = 1
+    for k in range(den_degree):
+        swap = next((i for i in range(k, den_degree) if rows[i][k]), None)
+        if swap is None:
+            raise SingularPadeSystem(
+                f"denominator system for [{num_degree}/{den_degree}] is exactly singular"
+            )
+        rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row = rows[k]
+        prev, det = det, pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(det * a - f * p) // prev for a, p in zip(row, pivot_row)]
+    b = [det] + [row[den_degree] for row in rows]
+    # P(1) = sum_i sum_m b_m c_{i-m} = sum_m b_m (c_0 + ... + c_{num-m}).
+    sums = list(itertools.accumulate(c))
+    q_at_1 = sum(b)
+    if q_at_1 == 0:
+        raise SingularPadeSystem(
+            f"[{num_degree}/{den_degree}] has a pole at the coupling (Q = 0)"
+        )
+    p_at_1 = sum(bm * sums[num_degree - m] for m, bm in enumerate(b[: num_degree + 1]))
+    return _to_float(Fraction(p_at_1, q_at_1 * scale))
 
 
 def divergence_diagnostics(series: EnergySeries) -> SummationReport:

@@ -7,8 +7,11 @@ moved from `Fraction` cells to integers in oscillator units, and
 `validate_short_csv` and `validate_config` before `compute` and `validate`
 came to share one runner.  The four `validate_*` transcripts carry solver
 energies; they were re-recorded when the solver moved to the summed-form
-sweep, the Illinois stop and the energy-sized box.  Rewrite the files only
-for a change that is meant to alter output:
+sweep, the Illinois stop and the energy-sized box.  `compute_pade_json`,
+`validate_short_csv` and `error_pade` were re-recorded when `pade` moved to
+exact arithmetic, rounded once; the harmonic `[1/1]` case replaced the
+`[8/8]` quartic in `error_pade`, which exact arithmetic solves.  Rewrite the
+files only for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
 
@@ -64,7 +67,7 @@ CLI_CASES = {
     "check_harmonic": ["check-harmonic"],
     "error_config": ["compute", "--pade-num", "3"],
     "error_engine": ["compute", "--order", "65"],
-    "error_pade": ["compute", "--v", "1", "--order", "17", "--pade-num", "8", "--pade-den", "8"],
+    "error_pade": ["compute", "--order", "5", "--pade-num", "1", "--pade-den", "1"],
 }
 
 # Every solver option, numbers given as strings where the file format allows.

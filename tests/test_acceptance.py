@@ -214,3 +214,59 @@ def test_criterion_7_riccati_residual_property():
     ok = not failures
     _report(7, "exact hierarchy residuals for 5 random problems (k <= 8, i <= 7)", ok)
     assert not failures, f"nonzero residuals for {failures}"
+
+
+def _stieltjes_misses(series: EnergySeries, energy: float, slack: float) -> list[int]:
+    """N = 2..16 at which energy lies outside [[N/N], [N+1/N]] by more than slack."""
+    return [
+        n
+        for n in range(2, 17)
+        if not pade(series, n, n) - slack <= energy <= pade(series, n + 1, n) + slack
+    ]
+
+
+def test_criterion_8_stieltjes_enclosure():
+    """[N/N] <= E_solver <= [N+1/N] for N = 2..16 at v_1 = 1, from K = 34.
+
+    The pure quartic series is a Stieltjes series (Loeffel, Martin, Simon and
+    Wightman, Phys. Lett. B 30 (1969) 656), so its diagonal Pade approximants
+    rise to the level from below and the [N+1/N] ones fall to it from above.
+    The only slack is the solver's residual estimate (2e-12 at the default
+    config, against a closest approach of ~2e-3 for (0,0)).  Scaling E_2 by
+    1 +/- 1/100 must break the enclosure in every state; it does from N = 7-9.
+
+    The enclosure holds to N = 31 as well (K = 64), but the exact solves took
+    about 11 s per state there on a 2-CPU host, against about 0.1 s here, and
+    N = 16 already narrows the gap to 4e-3 for (0,0) and 0.1 for (1,2).
+    """
+    potential = make_potential(1, 1, [Fraction(1)])
+    start = time.perf_counter()
+    misses = {}
+    undetected = []
+    lines = []
+    for n, l in [(0, 0), (1, 2), (0, 3)]:
+        state = make_state(n, l)
+        _, series = compute_series(potential, state, 34)
+        result = solve_radial(potential, default_config(potential, state))
+        energy, slack = result.energy, result.residual_estimate
+        missed = _stieltjes_misses(series, energy, slack)
+        if missed:
+            misses[(n, l)] = missed
+        for factor in (Fraction(101, 100), Fraction(99, 100)):
+            terms = list(series)
+            terms[1] *= factor
+            if not _stieltjes_misses(EnergySeries(tuple(terms)), energy, slack):
+                undetected.append((n, l, str(factor)))
+        lines.append(
+            f"({n},{l}): [16/16]={pade(series, 16, 16):.12f} E={energy:.12f} "
+            f"[17/16]={pade(series, 17, 16):.12f} res={slack:.1e}"
+        )
+    elapsed = time.perf_counter() - start
+    ok = not misses and not undetected and elapsed < 30.0
+    detail = ", ".join(lines)
+    _report(8, "solver energy between [N/N] and [N+1/N], N = 2..16, at v_1 = 1", ok, detail)
+    assert elapsed < 30.0, f"runtime {elapsed:.1f} s exceeds 30 s"
+    assert not misses, f"energy outside [[N/N], [N+1/N]] at {misses}: {detail}"
+    assert not undetected, (
+        f"enclosure accepted E_2 scaled by 1 +/- 1/100 for {undetected}: {detail}"
+    )

@@ -115,13 +115,22 @@ class TestCompute:
         assert code == 2
         assert "together" in err
 
-    def test_pade_zero_coupling_rejected(self, capsys):
-        code, _, err = run_cli(
+    def test_pade_singular_system_is_resummation_error(self, capsys):
+        # harmonic: E_2 = E_3 = 0, so the [1/1] denominator system is 0 * b_1 = 0
+        code, out, err = run_cli(
             capsys,
             ["compute", "--order", "5", "--pade-num", "1", "--pade-den", "1"],
         )
-        assert code == 2
-        assert "coupling" in err
+        assert code == 3 and out == ""
+        assert "SingularPadeSystem" in err
+
+    def test_pade_with_zero_first_coupling(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["compute", "--v", "0", "1/10", "--order", "7", "--pade-num", "2", "--pade-den", "2"],
+        )
+        assert code == 0
+        assert json.loads(out)["pade"]["value"] == 1.6984877126654063
 
 
 class TestConfigFile:

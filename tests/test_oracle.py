@@ -79,6 +79,15 @@ class TestGridRefinement:
         fine = solve_radial(pot, default_config(pot, state, grid_points=4000, tolerance=1e-13))
         assert abs(fine.energy - coarse.energy) < coarse.residual_estimate
 
+    def test_half_grid_below_minimum_fine_grid(self):
+        # At the 1000-point minimum the half grid has 500 points: a half grid
+        # as fine as the fine grid would leave only the 2 * tolerance floor.
+        config = OracleConfig(
+            r_max=30.0, grid_points=1000, target_state=make_state(0, 0),
+            bracket=(0.0, 14.5), tolerance=1e-10,
+        )
+        result = solve_radial(HARMONIC, config)
+        assert abs(result.energy - 1.5) <= result.residual_estimate
 
     def test_half_grid_level_outside_seed_bracket(self):
         # A coarse box step: the half-grid level lies beyond the fine energy

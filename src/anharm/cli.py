@@ -110,6 +110,15 @@ def _emit(text: str, output: str | None) -> None:
 # config assembly
 
 
+# Each config section's keys, as _build_job reads them.
+_SECTION_KEYS = {
+    "potential": ("mass", "omega", "v"),
+    "state": ("n", "l"),
+    "pade": ("num_degree", "den_degree"),
+    "oracle": ("grid_points", "tolerance", "r_max", "bracket"),
+}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -118,9 +127,13 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    for section in ("potential", "state", "pade", "oracle"):
+    unknown = [key for key in doc if key not in ("order", "format", "output", *_SECTION_KEYS)]
+    for section, keys in _SECTION_KEYS.items():
         if not isinstance(doc.get(section, {}), dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
+        unknown += [f"{section}.{key}" for key in doc.get(section, {}) if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     return doc
 
 
@@ -156,10 +169,7 @@ def _parse_state_pair(text: str) -> tuple[int, int]:
 
 def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
     file_doc = _load_config_file(args.config) if args.config else {}
-    pot_doc = file_doc.get("potential", {})
-    state_doc = file_doc.get("state", {})
-    pade_doc = file_doc.get("pade", {})
-    oracle_doc = file_doc.get("oracle", {})
+    pot_doc, state_doc, pade_doc, oracle_doc = (file_doc.get(s, {}) for s in _SECTION_KEYS)
 
     mass = _pick(args.mass, pot_doc.get("mass"), "1")
     omega = _pick(args.omega, pot_doc.get("omega"), "1")
@@ -184,7 +194,7 @@ def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    options = ("grid_points", "tolerance", "r_max", "bracket")
+    options = _SECTION_KEYS["oracle"]
     picked = {key: _pick(getattr(args, key), oracle_doc.get(key), None) for key in options}
     job = Job(
         potential=potential,
@@ -296,15 +306,15 @@ def _check_state(n: int, l: int, order: int) -> str | None:
             return f"(n={n}, l={l}, k={k}): E_{k} = {series.correction(k)} != 0"
     d = wavefunction.harmonic_d_coefficients(state, max(order, n + 1, 2))
     for k in range(1, order + 1):
-        if table.entry(k, 0) != d.d[k]:
-            return f"(n={n}, l={l}, k={k}): C[k][0] = {table.entry(k, 0)} != d_k = {d.d[k]}"
+        if table.entry(k, 0) != d[k]:
+            return f"(n={n}, l={l}, k={k}): C[k][0] = {table.entry(k, 0)} != d_k = {d[k]}"
         for i in range(1, table.imax + 1):
             if table.entry(k, i) != 0:
                 return f"(n={n}, l={l}, k={k}): C[k][{i}] != 0"
     poly = wavefunction.node_polynomial(state, d)
     for m in range(1, n + 1):
         expected = Fraction(m) * (Fraction(m) + l + Fraction(1, 2)) / (m - n - 1)
-        if poly.p[m - 1] / poly.p[m] != expected:
+        if poly[m - 1] / poly[m] != expected:
             return f"(n={n}, l={l}, m={m}): polynomial ratio != {expected}"
     return None
 
@@ -409,10 +419,7 @@ def main(argv=None) -> int:
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        engine.EngineError, wavefunction.WavefunctionError,
-        resummation.ResummationError, ValueError,
-    ) as exc:
+    except (engine.EngineError, resummation.ResummationError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except oracle.OracleError as exc:

@@ -75,35 +75,18 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
     return q, row
 
 
-def _rational_row(potential: PotentialSpec, q: int, k: int, numerators: list) -> tuple:
-    """C[k][i] = (m omega)^(1-k+i) N[k][i] / Q^(k+i) for every i of one row."""
-    mw = potential.mass * potential.omega
-    return tuple(mw ** (1 - k + i) * Fraction(n, q ** (k + i)) for i, n in enumerate(numerators))
-
-
-def c0_coefficients(potential: PotentialSpec, imax: int) -> tuple[Fraction, ...]:
-    """Expand -sqrt(2 m V(r)) = r * sum_i c_i r^(2i) through i = imax.
-
-    c_0 = -m*omega and, squaring the series against 2mV term by term,
-
-        c_i = (sum_{p=1}^{i-1} c_p c_{i-p} - 2 m v_i) / (2 m omega).
-
-    Recomputing with a larger cutoff never changes existing entries.
-    """
-    if imax < 0:
-        raise ValueError("imax must be >= 0")
-    q, row = _momentum_row(potential, imax)
-    return _rational_row(potential, q, 0, row)
-
-
 class CoefficientTable:
     """The filled table of Laurent coefficients C[k][i], k = 0..order, i = 0..imax.
 
-    Row 0 is the momentum Taylor series `c0`; rows 1..order hold the hbar^k
-    Laurent coefficients.  `compute_series` builds it complete, and it is
-    read-only from then on.  It holds the integer numerators N[k][i]; a row
-    of rational entries, in the problem's own units, is built the first time
-    it is read and kept for later reads.
+    Row 0 is the momentum Taylor series, -sqrt(2 m V(r)) = r sum_i c_i r^(2i),
+    with c_0 = -m omega and, squaring the series against 2mV term by term,
+
+        c_i = (sum_{p=1}^{i-1} c_p c_{i-p} - 2 m v_i) / (2 m omega);
+
+    rows 1..order hold the hbar^k Laurent coefficients.  `compute_series`
+    builds it complete, and it is read-only from then on.  It holds the
+    integer numerators N[k][i]; a row of rational entries, in the problem's
+    own units, is built the first time it is read and kept for later reads.
     """
 
     def __init__(self, potential: PotentialSpec, state: QuantumState, q: int, rows: list):
@@ -114,11 +97,6 @@ class CoefficientTable:
         self._q = q
         self._numerators = rows
         self._rows = [None] * len(rows)
-
-    @property
-    def c0(self) -> tuple[Fraction, ...]:
-        """The momentum Taylor series c_0..c_imax."""
-        return self.row(0)
 
     def entry(self, k: int, i: int) -> Fraction:
         """C[k][i]; row 0 is the momentum Taylor series."""
@@ -132,7 +110,11 @@ class CoefficientTable:
         if not 0 <= k <= self.order:
             raise IndexError(f"level {k} outside 0..{self.order}")
         if self._rows[k] is None:
-            self._rows[k] = _rational_row(self.potential, self._q, k, self._numerators[k])
+            mw, q = self.potential.mass * self.potential.omega, self._q
+            self._rows[k] = tuple(
+                mw ** (1 - k + i) * Fraction(n, q ** (k + i))
+                for i, n in enumerate(self._numerators[k])
+            )
         return self._rows[k]
 
 

@@ -144,14 +144,6 @@ class EnergySeries:
             raise IndexError(f"order {k} outside 1..{self.order}")
         return self.corrections[k - 1]
 
-    def truncated(self, order: int) -> "EnergySeries":
-        if not 1 <= order <= self.order:
-            raise IndexError(f"order {order} outside 1..{self.order}")
-        return EnergySeries(self.corrections[:order])
-
-    def __len__(self) -> int:
-        return len(self.corrections)
-
     def __iter__(self):
         return iter(self.corrections)
 

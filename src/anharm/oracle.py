@@ -77,7 +77,6 @@ class OracleResult:
 class ComparisonRecord:
     """Deviation of each partial sum (and the Pade value) from the solver energy."""
 
-    oracle_energy: float
     deviations: tuple[float, ...]
     relative_deviations: tuple[float, ...]
     pade_deviation: float | None
@@ -101,11 +100,6 @@ def _v_eff(potential: PotentialSpec, l: int, r: np.ndarray) -> np.ndarray:
         r2 *= float(vi)
         v += r2
     return v
-
-
-def first_order_energy(potential: PotentialSpec, state: QuantumState) -> float:
-    """Oscillator estimate (2n + l + 3/2) omega used for bracket sizing."""
-    return (2 * state.n + state.l + 1.5) * float(potential.omega)
 
 
 def _box_radius(potential: PotentialSpec, l: int, energy: float) -> float:
@@ -146,14 +140,14 @@ def default_config(
 ) -> OracleConfig:
     """Box and bracket sized from the energy, so truncation is negligible.
 
-    The upper bracket end is 3 e + 10, e the oscillator estimate of the
-    state.  The box radius is the outer turning point of the upper bracket
-    energy plus a WKB decay of exp(-_DECAY_MARGIN) beyond it, which every
-    energy in the bracket exceeds.  The lower end is the minimum of V_eff on
-    the grid, where no solution has a node.  Raises BracketingFailure for
-    potentials that do not confine within r = 1e6.
+    The upper bracket end is 3 e + 10, e = (2n + l + 3/2) omega the
+    oscillator estimate of the state.  The box radius is the outer turning
+    point of the upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN)
+    beyond it, which every energy in the bracket exceeds.  The lower end is
+    the minimum of V_eff on the grid, where no solution has a node.  Raises
+    BracketingFailure for potentials that do not confine within r = 1e6.
     """
-    upper = 3.0 * first_order_energy(potential, state) + 10.0
+    upper = 3.0 * (2 * state.n + state.l + 1.5) * float(potential.omega) + 10.0
     if bracket is not None:
         _, upper = bracket
     if r_max is None:
@@ -174,19 +168,22 @@ def default_config(
 
 
 def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
-    """Step h, radii r_j = j h (j = 1..g) and the energy-free part of the
-    Numerov factor t_j = (h^2/12) 2m (V_eff(r_j) - E), as a list."""
+    """Step h, radii r_j = j h (j = 1..g), the energy-free part of the
+    Numerov factor t_j = (h^2/12) 2m (V_eff(r_j) - E), as a list, and the
+    sweep start s, the least index with tv < 1 at r_(s+3): near the origin
+    t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip the
+    sign of U = y/(1 - t).  s = 0 for l <= 9 on the default grids."""
     h = r_max / grid_points
     r = np.arange(1, grid_points + 1) * h
     tv = _v_eff(potential, l, r)
     tv *= h * h / 6.0 * float(potential.mass)
-    return h, r, tv.tolist()
+    return h, r, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
 
 
-def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: float, tv):
-    """Energy part c of t_j = tv_j - c, and the summed-form state at r = 2h.
+def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: float, tv, s: int):
+    """Energy part c of t_j = tv_j - c, and the summed-form state at r_(s+2).
 
-    Returns (c, U(h), U(2h), t(2h), y(2h), d(2h)) with y = (1 - t) U and
+    Returns (c, U(r_(s+1)), U(r_(s+2)), t, y, d) with y = (1 - t) U and
     d_j = y_j - y_(j-1).  The two values of U come from the small-r series
     r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; they are
     Python floats, so that the sweep loops run on floats.
@@ -195,13 +192,14 @@ def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: floa
     c = h * h / 6.0 * m * energy
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
-    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in (h, 2.0 * h))
-    t = tv[1] - c
+    r1 = (s + 1) * h
+    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in (r1, r1 + h))
+    t = tv[s + 1] - c
     y = (1.0 - t) * u1
-    return c, u0, u1, t, y, y - (1.0 - (tv[0] - c)) * u0
+    return c, u0, u1, t, y, y - (1.0 - (tv[s] - c)) * u0
 
 
-def _integrate(potential, state, energy, h, tv):
+def _integrate(potential, state, energy, h, tv, s):
     """One outward Numerov sweep in summed form.
 
     Returns (interior node count, u(r_max), rescales): the boundary value is
@@ -211,11 +209,11 @@ def _integrate(potential, state, energy, h, tv):
     The solution is rescaled in the forbidden region to avoid overflow, which
     changes neither node locations nor the boundary sign.
     """
-    c, _, u, t, y, d = _start(potential, state, energy, h, tv)
+    c, _, u, t, y, d = _start(potential, state, energy, h, tv, s)
     nodes = rescales = 0
     sign = math.copysign(1.0, u)
     limit = _RESCALE_LIMIT
-    for p in islice(tv, 2, None):
+    for p in islice(tv, s + 2, None):
         d += 12.0 * t * u
         y += d
         t = p - c
@@ -250,11 +248,11 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
     Returns (lo, hi, node count at lo).
     """
     n = state.n
-    h, _, tv = _grid(potential, state.l, r_max, grid_points)
+    h, _, tv, s = _grid(potential, state.l, r_max, grid_points)
     lo, hi = bracket
-    nodes_lo, u, k = _integrate(potential, state, lo, h, tv)
+    nodes_lo, u, k = _integrate(potential, state, lo, h, tv, s)
     size_lo = _log_size(u, k)
-    nodes_hi, u, k = _integrate(potential, state, hi, h, tv)
+    nodes_hi, u, k = _integrate(potential, state, hi, h, tv, s)
     size_hi = _log_size(u, k)
     if nodes_lo > n:
         raise BracketingFailure(
@@ -292,7 +290,7 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
             if not lo < energy < hi:
                 energy, falsi = mid, False
         widths = [widths[1], hi - lo]
-        count, u, k = _integrate(potential, state, energy, h, tv)
+        count, u, k = _integrate(potential, state, energy, h, tv, s)
         size = _log_size(u, k)
         if count > n:
             if run == 1:
@@ -356,12 +354,13 @@ def wavefunction_samples(
 
     Returns (r, U) arrays on the interior grid; useful for inspecting the
     eigenfunction behind a converged solve_radial energy.  Uses the same
-    grid, start values and summed-form update as the solver's sweep.
+    grid, start values and summed-form update as the solver's sweep; the
+    s points before the sweep start (see _grid) read 0.
     """
-    h, r, tv = _grid(potential, state.l, r_max, grid_points)
-    c, u0, u, t, y, d = _start(potential, state, energy, h, tv)
-    values = [u0, u]
-    for p in islice(tv, 2, None):
+    h, r, tv, s = _grid(potential, state.l, r_max, grid_points)
+    c, u0, u, t, y, d = _start(potential, state, energy, h, tv, s)
+    values = [0.0] * s + [u0, u]
+    for p in islice(tv, s + 2, None):
         d += 12.0 * t * u
         y += d
         t = p - c
@@ -391,7 +390,6 @@ def compare_with_series(
         None if report.pade_value is None else abs(report.pade_value - energy)
     )
     return ComparisonRecord(
-        oracle_energy=energy,
         deviations=deviations,
         relative_deviations=relative,
         pade_deviation=pade_dev,

@@ -11,47 +11,14 @@ is provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import CoefficientTable
 from .model import QuantumState
 
 
-class WavefunctionError(Exception):
-    pass
-
-
-class DomainError(WavefunctionError):
-    """Log-derivative evaluated outside its domain r > 0."""
-
-
-@dataclass(frozen=True)
-class HarmonicLogDerivative:
-    """Coefficients d_0..d_K with C_k(r) = d_k r^(1-2k) in oscillator units."""
-
-    state: QuantumState
-    d: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.d) - 1
-
-
-@dataclass(frozen=True)
-class NodePolynomial:
-    """Monic polynomial factor P_n(r^2) = sum_k p[k] r^(2k), p[n] = 1."""
-
-    state: QuantumState
-    p: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.p) - 1
-
-
-def harmonic_d_coefficients(state: QuantumState, order: int) -> HarmonicLogDerivative:
-    """Closed recursion for the harmonic log-derivative coefficients.
+def harmonic_d_coefficients(state: QuantumState, order: int) -> tuple[Fraction, ...]:
+    """d_0..d_order, with C_k(r) = d_k r^(1-2k) in oscillator units.
 
     d_0 = -1, d_1 = 2n+l+1, 2 d_2 = d_1^2 - d_1 - l(l+1), and for k > 2
 
@@ -67,11 +34,11 @@ def harmonic_d_coefficients(state: QuantumState, order: int) -> HarmonicLogDeriv
         for j in range(1, k):
             acc += d[j] * d[k - j]
         d.append(acc / 2)
-    return HarmonicLogDerivative(state, tuple(d))
+    return tuple(d)
 
 
-def node_polynomial(state: QuantumState, d: HarmonicLogDerivative) -> NodePolynomial:
-    """Solve the triangular system for the polynomial factor, monic in r^(2n).
+def node_polynomial(state: QuantumState, d: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """p_0..p_n of the monic factor P_n(r^2) = sum_m p_m r^(2m), from d_0..d_K.
 
     With p_n = 1 fixed, descending from m = n-1 the coefficients obey
 
@@ -81,16 +48,16 @@ def node_polynomial(state: QuantumState, d: HarmonicLogDerivative) -> NodePolyno
     p_{m-1}/p_m = m(m + l + 1/2)/(m - n - 1).
     """
     n = state.n
-    if d.order < n + 1:
-        raise ValueError(f"log-derivative order {d.order} < n+1 = {n + 1}")
+    if len(d) < n + 2:
+        raise ValueError(f"log-derivative order {len(d) - 1} < n+1 = {n + 1}")
     p = [Fraction(0)] * (n + 1)
     p[n] = Fraction(1)
     for m in range(n - 1, -1, -1):
         acc = Fraction(0)
         for j in range(m + 1, n + 1):
-            acc += p[j] * d.d[j - m + 1]
+            acc += p[j] * d[j - m + 1]
         p[m] = -acc / (2 * (n - m))
-    return NodePolynomial(state, tuple(p))
+    return tuple(p)
 
 
 def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> float:
@@ -100,7 +67,7 @@ def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> fl
     make r <= 0 invalid.
     """
     if r <= 0:
-        raise DomainError(f"log-derivative has poles at the origin; need r > 0, got {r}")
+        raise ValueError(f"log-derivative has poles at the origin; need r > 0, got {r}")
     if not 0 <= order <= table.order:
         raise ValueError(f"order {order} outside 0..{table.order}")
     r = float(r)

@@ -117,8 +117,9 @@ def riccati_residuals(table: CoefficientTable, series: EnergySeries) -> list[Fra
     """
     m = table.potential.mass
     residuals = []
+    c0 = table.row(0)
     for i in range(table.imax + 1):
-        acc = sum(table.c0[p] * table.c0[i - p] for p in range(i + 1))
+        acc = sum(c0[p] * c0[i - p] for p in range(i + 1))
         expected = m * m * table.potential.omega**2 if i == 0 else 2 * m * table.potential.coefficient(i)
         residuals.append(acc - expected)
     for k in range(1, table.order + 1):

@@ -62,7 +62,7 @@ def test_criterion_2_harmonic_exactness():
             if any(unit_series.correction(k) != 0 for k in range(2, 16)):
                 failures.append((n, l, "unit tail"))
             d = harmonic_d_coefficients(state, 15)
-            if any(table.entry(k, 0) != d.d[k] for k in range(1, 16)):
+            if any(table.entry(k, 0) != d[k] for k in range(1, 16)):
                 failures.append((n, l, "d_k"))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0
@@ -82,7 +82,7 @@ def test_criterion_3_laguerre_structure():
             poly = node_polynomial(state, d)
             for m in range(1, n + 1):
                 expected = Fraction(m) * (m + l + Fraction(1, 2)) / (m - n - 1)
-                if poly.p[m - 1] / poly.p[m] != expected:
+                if poly[m - 1] / poly[m] != expected:
                     failures.append((n, l, m))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import anharm.engine
+import anharm.wavefunction
 from anharm.cli import main
 from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
@@ -181,8 +182,18 @@ class TestConfigFile:
             ({"pade": {"num_degree": "x", "den_degree": 1}}, "invalid literal for int()"),
             ({"state": {"n": [1]}}, "int() argument must be"),
             ({"oracle": {"bracket": 5}}, "cannot unpack"),
+            (
+                {"potential": {"v": ["1/100"]}, "order": 3, "oracle": {"grid_point": "abc"}},
+                "unknown config key 'oracle.grid_point'",
+            ),
+            ({"pade": {"num_degre": 1, "den_degree": 1}}, "unknown config key 'pade.num_degre'"),
+            ({"pade": {"coupling_index": 1}}, "unknown config key 'pade.coupling_index'"),
+            ({"orders": 3}, "unknown config key 'orders'"),
         ],
-        ids=["potential-list", "pade-degree-text", "state-list", "bracket-number"],
+        ids=[
+            "potential-list", "pade-degree-text", "state-list", "bracket-number",
+            "unknown-oracle-key", "unknown-pade-key", "stale-pade-key", "unknown-top-key",
+        ],
     )
     def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):
         config = tmp_path / "bad.json"
@@ -298,21 +309,51 @@ class TestCheckHarmonic:
         assert "all exact checks passed" in out
 
     def test_corrupted_engine_is_located(self, capsys, monkeypatch):
-        real = anharm.engine.compute_series
+        """A tampered E_k, table head column or node polynomial is reported at
+        the first state and index where it goes wrong."""
+        real_series = anharm.engine.compute_series
+        real_poly = anharm.wavefunction.node_polynomial
 
-        def broken(potential, state, order, max_order=64):
-            table, series = real(potential, state, order, max_order)
+        def tampered_energy(potential, state, order, max_order=64):
+            table, series = real_series(potential, state, order, max_order)
             tampered = list(series)
             if state.n == 1 and state.l == 2:
                 tampered[2] += 1
             return table, EnergySeries(tuple(tampered))
 
-        monkeypatch.setattr(anharm.engine, "compute_series", broken)
-        code, out, _ = run_cli(
-            capsys, ["check-harmonic", "--max-n", "2", "--max-l", "2", "--order", "5"]
-        )
-        assert code == 1
-        assert "FAIL (n=1, l=2, k=3)" in out
+        class ShiftedHead:
+            """The table with C[2][0] off by one."""
+
+            def __init__(self, table):
+                self.table, self.imax = table, table.imax
+
+            def entry(self, k, i):
+                return self.table.entry(k, i) + ((k, i) == (2, 0))
+
+        def tampered_head(potential, state, order, max_order=64):
+            table, series = real_series(potential, state, order, max_order)
+            return (ShiftedHead(table) if (state.n, state.l) == (1, 2) else table), series
+
+        def tampered_poly(state, d):
+            poly = real_poly(state, d)
+            if (state.n, state.l) == (2, 1):
+                poly = (2 * poly[0], *poly[1:])
+            return poly
+
+        cases = [
+            (anharm.engine, "compute_series", tampered_energy, "FAIL (n=1, l=2, k=3): E_3 = "),
+            (anharm.engine, "compute_series", tampered_head, "FAIL (n=1, l=2, k=2): C[k][0] = "),
+            (anharm.wavefunction, "node_polynomial", tampered_poly,
+             "FAIL (n=2, l=1, m=1): polynomial ratio"),
+        ]
+        for module, name, fake, located in cases:
+            monkeypatch.setattr(module, name, fake)
+            code, out, _ = run_cli(
+                capsys, ["check-harmonic", "--max-n", "2", "--max-l", "2", "--order", "5"]
+            )
+            monkeypatch.undo()
+            assert code == 1
+            assert out.startswith(located)
 
     def test_negative_bounds_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["check-harmonic", "--max-n", "-1"])

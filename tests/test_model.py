@@ -93,10 +93,6 @@ class TestEnergySeries:
         with pytest.raises(IndexError):
             series.correction(0)
 
-    def test_truncated(self):
-        series = EnergySeries((Fraction(1), Fraction(2), Fraction(3)))
-        assert series.truncated(2).corrections == (Fraction(1), Fraction(2))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EnergySeries(())

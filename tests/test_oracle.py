@@ -62,6 +62,20 @@ class TestHarmonicSpectrum:
         result = _solve(make_potential(Fraction(5, 2), 1), 0, 2)
         assert abs(result.energy - 3.5) < 1e-9
 
+    @pytest.mark.parametrize("n, l", [(0, 10), (0, 12), (1, 11)])
+    def test_high_l_has_no_origin_node(self, n, l):
+        # t_j ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h for l >= 10; a sweep
+        # started inside that region counts a spurious node at the origin.
+        state = make_state(n, l)
+        config = default_config(HARMONIC, state, grid_points=4000)
+        result = solve_radial(HARMONIC, config)
+        exact = 2 * n + l + 1.5
+        assert result.node_count == n
+        assert abs(result.energy - exact) <= result.residual_estimate + 1e-11
+        r, u = wavefunction_samples(HARMONIC, state, result.energy, config.r_max, 4000)
+        allowed = u[(r <= np.sqrt(2 * exact)) & (u != 0.0)]
+        assert np.count_nonzero(np.diff(np.sign(allowed))) == n
+
 
 class TestGridRefinement:
     def test_residual_bounds_refinement_change(self):

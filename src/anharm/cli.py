@@ -51,8 +51,6 @@ class ConfigError(ValueError):
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
@@ -99,13 +97,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(output, text)
-
-
 # ---------------------------------------------------------------------------
 # config assembly
 
@@ -116,6 +107,16 @@ _SECTION_KEYS = {
     "state": ("n", "l"),
     "pade": ("num_degree", "den_degree"),
     "oracle": ("grid_points", "tolerance", "r_max", "bracket"),
+}
+
+# Config values that _build_job's int() or str() would take but the flag refuses.
+_INTEGER = (lambda value: not isinstance(value, (bool, float)), "an integer")
+_VALUE_RULES = {
+    "order": _INTEGER, "state.n": _INTEGER, "state.l": _INTEGER,
+    "pade.num_degree": _INTEGER, "pade.den_degree": _INTEGER, "oracle.grid_points": _INTEGER,
+    "potential.v": (lambda value: isinstance(value, list), "a list"),
+    "format": (lambda value: value in ("json", "csv"), "'json' or 'csv'"),
+    "output": (lambda value: isinstance(value, str), "a path"),
 }
 
 
@@ -134,6 +135,10 @@ def _load_config_file(path: str) -> dict:
         unknown += [f"{section}.{key}" for key in doc.get(section, {}) if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
+    values = {**doc, **{f"{s}.{k}": v for s in _SECTION_KEYS for k, v in doc.get(s, {}).items()}}
+    for key, (valid, kind) in _VALUE_RULES.items():
+        if values.get(key) is not None and not valid(values[key]):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {values[key]!r}")
     return doc
 
 
@@ -275,35 +280,14 @@ def _run(job: Job, validate: bool) -> str:
     return _dumps(doc) + "\n"
 
 
-def _run_sweep(job: Job, states: list[tuple[int, int]], validate: bool) -> int:
-    jobs = [
-        dataclasses.replace(job, state=make_state(n, l), output=None)
-        for n, l in states
-    ]
-    texts = [_run(sub, validate) for sub in jobs]
-    if job.output is None:
-        for text in texts:
-            sys.stdout.write(text)
-    else:
-        os.makedirs(job.output, exist_ok=True)
-        ext = "csv" if job.fmt == "csv" else "json"
-        for sub, text in zip(jobs, texts):
-            name = f"state_n{sub.state.n}_l{sub.state.l}.{ext}"
-            _write_atomic(os.path.join(job.output, name), text)
-    return EXIT_OK
-
-
 def _check_state(n: int, l: int, order: int) -> str | None:
     """One harmonic state; returns a failure locator or None."""
     state = make_state(n, l)
-    potential = make_potential(1, 1)
-    table, series = engine.compute_series(potential, state, order)
-    expected_first = Fraction(2 * n + l + 1) + Fraction(1, 2)
-    if series.correction(1) != expected_first:
-        return f"(n={n}, l={l}, k=1): E_1 = {series.correction(1)} != {expected_first}"
-    for k in range(2, order + 1):
-        if series.correction(k) != 0:
-            return f"(n={n}, l={l}, k={k}): E_{k} = {series.correction(k)} != 0"
+    table, series = engine.compute_series(make_potential(1, 1), state, order)
+    exact = [Fraction(2 * n + l) + Fraction(3, 2)] + [0] * (order - 1)
+    for k, (e_k, want) in enumerate(zip(series, exact), 1):
+        if e_k != want:
+            return f"(n={n}, l={l}, k={k}): E_{k} = {e_k} != {want}"
     d = wavefunction.harmonic_d_coefficients(state, max(order, n + 1, 2))
     for k in range(1, order + 1):
         if table.entry(k, 0) != d[k]:
@@ -324,16 +308,14 @@ def _run_check_harmonic(max_n: int, max_l: int, order: int) -> int:
         raise ConfigError("bounds must be >= 0")
     if order < 2:
         raise ConfigError("order must be >= 2")
-    checked = 0
     for n in range(max_n + 1):
         for l in range(max_l + 1):
             failure = _check_state(n, l, order)
             if failure is not None:
                 print(f"FAIL {failure}")
                 return EXIT_CHECK_FAILED
-            checked += 1
     print(
-        f"checked {checked} harmonic states (n <= {max_n}, l <= {max_l}) "
+        f"checked {(max_n + 1) * (max_l + 1)} harmonic states (n <= {max_n}, l <= {max_l}) "
         f"through order {order}: all exact checks passed"
     )
     return EXIT_OK
@@ -411,10 +393,17 @@ def main(argv=None) -> int:
         if args.command == "check-harmonic":
             return _run_check_harmonic(args.max_n, args.max_l, args.order)
         job, sweep = _build_job(args)
-        validate = args.command == "validate"
-        if sweep:
-            return _run_sweep(job, sweep, validate)
-        _emit(_run(job, validate), job.output)
+        states = [make_state(n, l) for n, l in sweep] or [job.state]
+        texts = [_run(dataclasses.replace(job, state=s), args.command == "validate") for s in states]
+        if job.output is None:
+            sys.stdout.write("".join(texts))
+        elif not sweep:
+            _write_atomic(job.output, texts[0])
+        else:
+            os.makedirs(job.output, exist_ok=True)
+            for state, text in zip(states, texts):
+                name = f"state_n{state.n}_l{state.l}.{job.fmt}"
+                _write_atomic(os.path.join(job.output, name), text)
         return EXIT_OK
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

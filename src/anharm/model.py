@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational as _RationalABC
 
 
 class ProblemSpecError(ValueError):
@@ -28,32 +27,26 @@ class NegativeQuantumNumber(ProblemSpecError):
     pass
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p/q" or integer text into an exact rational.
+def parse_rational(value) -> Fraction:
+    """Exact rational from a `numbers.Rational` or from text.
 
-    Accepts anything `Fraction` accepts ("3/4", "-165/8", "2", "0.01"),
-    so decimal strings stay exact.
+    Text is anything `Fraction` accepts ("3/4", "-165/8", "2", "0.01"), so
+    decimal strings stay exact.  A float is refused: its binary rounding
+    noise would enter an exact input.
     """
+    if isinstance(value, float):
+        raise ProblemSpecError(
+            f"exact rational required, got float {value!r}; pass a string or Fraction"
+        )
     try:
-        return Fraction(text)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ProblemSpecError(f"not a rational number: {text!r}") from exc
+        raise ProblemSpecError(f"not a rational number: {value!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" form; integers omit the "/1"."""
     return str(Fraction(value))
-
-
-def _as_rational(value) -> Fraction:
-    if isinstance(value, float):
-        # refuse silent binary-float noise in exact inputs
-        raise ProblemSpecError(
-            f"exact rational required, got float {value!r}; pass a string or Fraction"
-        )
-    if isinstance(value, _RationalABC):
-        return Fraction(value)
-    return parse_rational(value)
 
 
 @dataclass(frozen=True)
@@ -72,10 +65,10 @@ class PotentialSpec:
     anharmonic: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _as_rational(self.mass))
-        object.__setattr__(self, "omega", _as_rational(self.omega))
+        object.__setattr__(self, "mass", parse_rational(self.mass))
+        object.__setattr__(self, "omega", parse_rational(self.omega))
         object.__setattr__(
-            self, "anharmonic", tuple(_as_rational(v) for v in self.anharmonic)
+            self, "anharmonic", tuple(parse_rational(v) for v in self.anharmonic)
         )
         if self.mass <= 0:
             raise NonPositiveMass(f"mass must be positive, got {self.mass}")

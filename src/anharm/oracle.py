@@ -102,17 +102,13 @@ def _v_eff(potential: PotentialSpec, l: int, r: np.ndarray) -> np.ndarray:
     return v
 
 
-def _box_radius(potential: PotentialSpec, l: int, energy: float) -> float:
+def _box_radius(potential: PotentialSpec, r, v, energy: float) -> float:
     """Outer turning point of `energy` plus a WKB decay of _DECAY_MARGIN.
 
-    Scans r geometrically (1% steps) from a thousandth of the oscillator length
-    out to 1e6.  The decay is the trapezoid sum of sqrt(2m (V_eff - E)) from
-    the last classically allowed sample outward.
+    The decay is the trapezoid sum of sqrt(2m (V_eff - E)) over the scan r
+    (v = V_eff on it) from the last classically allowed sample outward.
     """
-    m = float(potential.mass)
-    length = 1.0 / math.sqrt(m * float(potential.omega))
-    r = np.geomspace(1e-3 * length, 1e6, 2400)
-    excess = 2.0 * m * (_v_eff(potential, l, r) - energy)
+    excess = 2.0 * float(potential.mass) * (v - energy)
     allowed = np.flatnonzero(excess < 0.0)
     if allowed.size == 0:
         raise BracketingFailure(
@@ -140,18 +136,30 @@ def default_config(
 ) -> OracleConfig:
     """Box and bracket sized from the energy, so truncation is negligible.
 
-    The upper bracket end is 3 e + 10, e = (2n + l + 3/2) omega the
-    oscillator estimate of the state.  The box radius is the outer turning
-    point of the upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN)
-    beyond it, which every energy in the bracket exceeds.  The lower end is
-    the minimum of V_eff on the grid, where no solution has a node.  Raises
-    BracketingFailure for potentials that do not confine within r = 1e6.
+    The upper bracket end starts at 3 e + 10, e = (2n + l + 3/2) omega the
+    oscillator estimate of the state, and doubles while its WKB phase, the
+    integral of sqrt(2m (E - V_eff)) dr, is below (n + 3/2) pi; level n lies
+    near (n + 3/4) pi.  The box radius is the outer turning point of the
+    upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN) beyond it,
+    which every energy in the bracket exceeds.  Both integrals run over a
+    scan of r in 1% steps from a thousandth of the oscillator length to 1e6.
+    The lower end is the minimum of V_eff on the grid, where no solution has
+    a node.  Raises BracketingFailure for potentials that do not confine
+    within r = 1e6.
     """
+    length = 1.0 / math.sqrt(float(potential.mass) * float(potential.omega))
+    r = np.geomspace(1e-3 * length, 1e6, 2400)
+    v = _v_eff(potential, state.l, r)
     upper = 3.0 * (2 * state.n + state.l + 1.5) * float(potential.omega) + 10.0
     if bracket is not None:
         _, upper = bracket
+    while bracket is None:
+        k = np.sqrt(np.maximum(2.0 * float(potential.mass) * (upper - v), 0.0))
+        if 0.5 * np.dot(k[1:] + k[:-1], np.diff(r)) >= (state.n + 1.5) * math.pi:
+            break
+        upper *= 2.0
     if r_max is None:
-        r_max = _box_radius(potential, state.l, float(upper))
+        r_max = _box_radius(potential, r, v, float(upper))
     config = OracleConfig(
         r_max=float(r_max),
         grid_points=int(grid_points),

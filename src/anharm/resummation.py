@@ -16,10 +16,6 @@ from fractions import Fraction
 
 from .model import EnergySeries
 
-# Relative change between the last two partial sums below which the
-# truncated series is reported as stable.
-STABILITY_TOL = 1e-9
-
 
 class ResummationError(Exception):
     pass
@@ -40,7 +36,6 @@ class SummationReport:
     partial_sums: tuple[float, ...]
     ratios: tuple[float | None, ...]
     growth_flag: bool
-    stability_flag: bool
     pade_value: float | None = None
 
 
@@ -60,15 +55,6 @@ def partial_sums(series: EnergySeries) -> list[float]:
         acc += term
         sums.append(_to_float(acc))
     return sums
-
-
-def term_ratios(series: EnergySeries) -> list[float | None]:
-    """|E_{k+1}/E_k| for k = 1..K-1; None where the denominator term is zero."""
-    terms = list(series)
-    out = []
-    for prev, nxt in zip(terms, terms[1:]):
-        out.append(None if prev == 0 else _to_float(abs(nxt / prev)))
-    return out
 
 
 def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling=1) -> float:
@@ -132,25 +118,18 @@ def pade(series: EnergySeries, num_degree: int, den_degree: int, coupling=1) -> 
 
 
 def divergence_diagnostics(series: EnergySeries) -> SummationReport:
-    """Ratio and partial-sum diagnostics; read-only on the series.
+    """Partial sums and term ratios |E_{k+1}/E_k| (k = 1..K-1) of the series.
 
     The growth flag is set when the ratio sequence is strictly increasing
     (and everywhere defined) over the final third of the available orders.
-    A series of fewer than 6 orders is too short to judge: its report holds
-    the partial sums and the ratios, with both flags False.
+    A series of fewer than 6 orders is too short to judge: its flag is False.
     """
-    sums = tuple(partial_sums(series))
-    ratios = tuple(term_ratios(series))
-    if series.order < 6:
-        return SummationReport(sums, ratios, growth_flag=False, stability_flag=False)
+    terms = list(series)
+    ratios = tuple(
+        None if prev == 0 else _to_float(abs(nxt / prev)) for prev, nxt in zip(terms, terms[1:])
+    )
     tail = ratios[-max(2, math.ceil(len(ratios) / 3)):]
-    growth = all(r is not None for r in tail) and all(
+    growth = series.order >= 6 and all(r is not None for r in tail) and all(
         a < b for a, b in zip(tail, tail[1:])
     )
-    stable = abs(sums[-1] - sums[-2]) <= STABILITY_TOL * max(1.0, abs(sums[-1]))
-    return SummationReport(
-        partial_sums=sums,
-        ratios=ratios,
-        growth_flag=growth,
-        stability_flag=stable,
-    )
+    return SummationReport(tuple(partial_sums(series)), ratios, growth)

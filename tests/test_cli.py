@@ -189,10 +189,16 @@ class TestConfigFile:
             ({"pade": {"num_degre": 1, "den_degree": 1}}, "unknown config key 'pade.num_degre'"),
             ({"pade": {"coupling_index": 1}}, "unknown config key 'pade.coupling_index'"),
             ({"orders": 3}, "unknown config key 'orders'"),
+            ({"order": 3, "potential": {"v": "12"}}, "config key 'potential.v' must be a list"),
+            ({"order": 3.9}, "config key 'order' must be an integer, got 3.9"),
+            ({"state": {"n": 1.5}}, "config key 'state.n' must be an integer, got 1.5"),
+            ({"format": "xml"}, "config key 'format' must be 'json' or 'csv', got 'xml'"),
+            ({"output": 5}, "config key 'output' must be a path, got 5"),
         ],
         ids=[
             "potential-list", "pade-degree-text", "state-list", "bracket-number",
             "unknown-oracle-key", "unknown-pade-key", "stale-pade-key", "unknown-top-key",
+            "v-text", "float-order", "float-state", "unknown-format", "output-number",
         ],
     )
     def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):
@@ -222,6 +228,17 @@ class TestSweep:
                 make_potential(1, 1, [Fraction(1, 100)]), make_state(n, l), 4
             )
             assert [Fraction(c) for c in doc["corrections"]] == list(series)
+
+    def test_csv_sweep_files_match_single_state_stdout(self, tmp_path, capsys):
+        outdir = tmp_path / "runs"
+        flags = ["compute", "--v", "1/100", "--order", "4", "--format", "csv"]
+        code, _, _ = run_cli(capsys, [*flags, "--sweep", "0,0", "1,0", "--output", str(outdir)])
+        assert code == 0
+        assert sorted(os.listdir(outdir)) == ["state_n0_l0.csv", "state_n1_l0.csv"]
+        for n in (0, 1):
+            single = run_cli(capsys, [*flags, "--n", str(n)])
+            assert single[0] == 0
+            assert (outdir / f"state_n{n}_l0.csv").read_text() == single[1]
 
     def test_sweep_to_stdout_keeps_order(self, capsys):
         code, out, _ = run_cli(

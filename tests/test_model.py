@@ -114,6 +114,10 @@ class TestRationalSerialization:
         with pytest.raises(ProblemSpecError):
             parse_rational("3/4/5")
 
+    def test_float_rejected(self):
+        with pytest.raises(ProblemSpecError, match="exact rational required"):
+            parse_rational(0.5)
+
     @given(st.fractions(), st.fractions())
     def test_arithmetic_exact_and_canonical(self, a, b):
         total = a + b

@@ -25,15 +25,19 @@ QUARTIC_001_GROUND = 1.535648278311
 
 # (mass, omega, couplings), (n, l), level from a harmonic-oscillator-basis
 # diagonalisation that agrees with itself to 1e-11 across basis sizes (basis
-# frequency 3 for v1 = 10, and 2 for the negative well, whose level sits in a
-# shell near r = 2.6).  Away from weak coupling, and for a well that dips
-# below zero, the default box and bracket must follow the energy of the state.
+# frequency 3 for v1 = 10, 2 for the negative well, whose level sits in a
+# shell near r = 2.6, and 8, 12 and 16, agreeing to 2e-13, for v1 >= 100).
+# Away from weak coupling, and for a well that dips below zero, the default
+# box and bracket must follow the energy of the state.
 REFERENCE_LEVELS = [
     ((1, 1, [Fraction(1, 10)]), (0, 0), 1.769502643949054),
     ((1, 1, [Fraction(1)]), (0, 0), 2.737892268008434),
     ((1, 1, [Fraction(1)]), (1, 2), 13.85960722928434),
     ((1, 1, [Fraction(10)]), (0, 0), 5.321608256261253),
     ((1, Fraction(1, 4), [Fraction(-1), Fraction(1, 10)]), (0, 0), -11.13035764463604),
+    ((1, 1, [Fraction(100)]), (1, 2), 60.5489108637337),
+    ((1, 1, [Fraction(300)]), (0, 0), 16.0772425152562),
+    ((1, 1, [Fraction(1000)]), (0, 0), 23.97220605638314),
 ]
 
 

@@ -13,7 +13,6 @@ from anharm.resummation import (
     divergence_diagnostics,
     pade,
     partial_sums,
-    term_ratios,
 )
 
 
@@ -70,11 +69,11 @@ class TestPartialSums:
 class TestTermRatios:
     def test_zero_denominators_marked_absent(self):
         series = EnergySeries((Fraction(2), Fraction(0), Fraction(0), Fraction(5)))
-        assert term_ratios(series) == [0.0, None, None]
+        assert divergence_diagnostics(series).ratios == (0.0, None, None)
 
     def test_plain_ratio(self):
         series = EnergySeries((Fraction(2), Fraction(-1)))
-        assert term_ratios(series) == [0.5]
+        assert divergence_diagnostics(series).ratios == (0.5,)
 
 
 class TestPade:
@@ -144,14 +143,12 @@ class TestDivergenceDiagnostics:
         assert report.ratios[0] == 0.0
         assert all(r is None for r in report.ratios[1:])
         assert report.growth_flag is False
-        assert report.stability_flag is True
         assert report.pade_value is None
 
     def test_strong_coupling_growth(self):
         _, series = compute_series(make_potential(1, 1, [1]), make_state(0, 0), 15)
         report = divergence_diagnostics(series)
         assert report.growth_flag is True
-        assert report.stability_flag is False
         tail = report.ratios[-5:]
         assert all(a < b for a, b in zip(tail, tail[1:]))
 
@@ -162,7 +159,7 @@ class TestDivergenceDiagnostics:
 
     def test_short_series_reports_sums_and_ratios_unflagged(self):
         # Judged like a longer series, the first would set the growth flag
-        # (ratios 1, 2, 3, 4) and the second the stability flag (E_5 = 0).
+        # (ratios 1, 2, 3, 4).
         growing = divergence_diagnostics(EnergySeries(tuple(map(Fraction, (1, 1, 2, 6, 24)))))
         assert growing.partial_sums == (1.0, 2.0, 4.0, 10.0, 34.0)
         assert growing.ratios == (1.0, 2.0, 3.0, 4.0)
@@ -174,13 +171,12 @@ class TestDivergenceDiagnostics:
         assert settled.ratios == (float(Fraction(1, 3)), 1.0, float(Fraction(3, 7)), 0.0)
         for report in (growing, settled):
             assert report.growth_flag is False
-            assert report.stability_flag is False
             assert report.pade_value is None
 
     def test_report_has_no_pade_degrees(self):
         names = [field.name for field in dataclasses.fields(SummationReport)]
         assert names == [
-            "partial_sums", "ratios", "growth_flag", "stability_flag", "pade_value",
+            "partial_sums", "ratios", "growth_flag", "pade_value",
         ]
 
     def test_reports_are_read_only(self):

@@ -111,9 +111,15 @@ _SECTION_KEYS = {
 
 # Config values that _build_job's int() or str() would take but the flag refuses.
 _INTEGER = (lambda value: not isinstance(value, (bool, float)), "an integer")
+# float() takes a bool; a bracket is checked entry by entry.
+_NUMBER = (
+    lambda value: bool not in map(type, value if isinstance(value, list) else [value]),
+    "a number",
+)
 _VALUE_RULES = {
     "order": _INTEGER, "state.n": _INTEGER, "state.l": _INTEGER,
     "pade.num_degree": _INTEGER, "pade.den_degree": _INTEGER, "oracle.grid_points": _INTEGER,
+    "oracle.tolerance": _NUMBER, "oracle.r_max": _NUMBER, "oracle.bracket": _NUMBER,
     "potential.v": (lambda value: isinstance(value, list), "a list"),
     "format": (lambda value: value in ("json", "csv"), "'json' or 'csv'"),
     "output": (lambda value: isinstance(value, str), "a path"),

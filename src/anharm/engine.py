@@ -14,18 +14,20 @@ residue of C_k at the origin is pinned by the node-count quantization rule,
 which is what makes ground and excited states uniform.  All arithmetic is
 exact.
 
-The table is filled on integers in oscillator units (m = omega = 1).  With
-v~_i = v_i / (m^(i+1) omega^(i+2)) every divisor of the recursion is 2, and
-with Q = 2 lcm(denominators of v~) each cell is an integer over a fixed power
-of Q, the exponent rule
+The table is filled on integers in oscillator units (m = omega = 1), where
+v~_i = v_i / (m^(i+1) omega^(i+2)) and every divisor of the recursion is 2.
+With weight i for v~_i, C~[k][i] is weighted-homogeneous of degree i in the
+couplings and E~_k of degree k-1, so scaling v~_i by D^i scales them by D^i
+and D^(k-1).  For an integer D with den(v~_i) | D^i the couplings
+u_i = v~_i D^i are integers, the fill runs on them with the power of 2 as
+the only denominator, and the exponent rule reads
 
-    C~[k][i] = N[k][i] / Q^(k+i),    C[k][i] = (m omega)^(1-k+i) C~[k][i],
+    C~[k][i] = N[k][i] / (2^(k+i) D^i),    C[k][i] = (m omega)^(1-k+i) C~[k][i],
 
-row 0 included (c_i = (m omega)^(1+i) N[0][i] / Q^i).  Every convolution
-product N[j][p] N[k-j][i-p] then already sits at exponent k+i, so the fill
-is gcd-free big-integer dot products; the only division, by 2, is exact and
-checked.  A `Fraction` is built once per energy, E_k = omega E~_k, and once
-per table entry, when its row is first read.
+row 0 included.  Every product N[j][p] N[k-j][i-p] of a convolution then
+sits at exponent k+i, so the fill is gcd-free big-integer dot products; the
+only division, by 2, is exact and checked.  A `Fraction` is built once per
+energy, E_k = omega E~_k(u) / D^(k-1), and once per entry of a row read.
 """
 
 from __future__ import annotations
@@ -55,24 +57,30 @@ def _halve(acc: int, cell: str) -> int:
 
 
 def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
-    """Q and the integer momentum row N[0][0..imax], with c~_i = N[0][i] / Q^i.
+    """D and the integer momentum row N[0][0..imax], with c~_i = N[0][i] / (2^i D^i).
 
     In oscillator units c~_0 = -1 and
 
         c~_i = (sum_{p=1}^{i-1} c~_p c~_{i-p} - 2 v~_i) / 2.
+
+    D needs den(v~_i) | D^i for every i.  Since v~_i = (v_i / omega) / (m omega)^(i+1),
+    both lcm den(v~_i) and lcm den(v_i / omega) num(m omega)^2 qualify, and so
+    does their gcd, which needs no factoring.  The row is filled on the integer
+    couplings u_i = v~_i D^i, where c~_i(u) = D^i c~_i(v~) by homogeneity.
     """
-    m, omega = potential.mass, potential.omega
-    scaled = [
-        potential.coefficient(i) / (m ** (i + 1) * omega ** (i + 2))
-        for i in range(1, imax + 1)
-    ]
-    q = 2 * math.lcm(*(v.denominator for v in scaled))
+    mw, omega = potential.mass * potential.omega, potential.omega
+    couplings = [potential.coefficient(i) for i in range(1, imax + 1)]
+    scaled = [v / (omega * mw ** (i + 1)) for i, v in enumerate(couplings, start=1)]
+    d = math.gcd(
+        math.lcm(*(v.denominator for v in scaled)),
+        math.lcm(*((v / omega).denominator for v in couplings)) * mw.numerator**2,
+    )
     row = [-1]
     for i, v in enumerate(scaled, start=1):
         acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))
-        acc -= 2 * v.numerator * (q**i // v.denominator)
+        acc -= 2 ** (i + 1) * v.numerator * (d**i // v.denominator)
         row.append(_halve(acc, f"C0[{i}]"))
-    return q, row
+    return d, row
 
 
 class CoefficientTable:
@@ -85,16 +93,17 @@ class CoefficientTable:
 
     rows 1..order hold the hbar^k Laurent coefficients.  `compute_series`
     builds it complete, and it is read-only from then on.  It holds the
-    integer numerators N[k][i]; a row of rational entries, in the problem's
-    own units, is built the first time it is read and kept for later reads.
+    integer numerators N[k][i] of the fill on u_i = v~_i D^i; C~[k][i] has
+    degree i in the couplings, so C[k][i] = (m omega)^(1-k+i) N[k][i] / (2^(k+i) D^i).
+    A row of entries, in the problem's own units, is built when first read and kept.
     """
 
-    def __init__(self, potential: PotentialSpec, state: QuantumState, q: int, rows: list):
+    def __init__(self, potential: PotentialSpec, state: QuantumState, d: int, rows: list):
         self.potential = potential
         self.state = state
         self.order = len(rows) - 1
         self.imax = self.order - 1
-        self._q = q
+        self._d = d
         self._numerators = rows
         self._rows = [None] * len(rows)
 
@@ -110,9 +119,9 @@ class CoefficientTable:
         if not 0 <= k <= self.order:
             raise IndexError(f"level {k} outside 0..{self.order}")
         if self._rows[k] is None:
-            mw, q = self.potential.mass * self.potential.omega, self._q
+            mw, d = self.potential.mass * self.potential.omega, self._d
             self._rows[k] = tuple(
-                mw ** (1 - k + i) * Fraction(n, q ** (k + i))
+                mw ** (1 - k + i) * Fraction(n, 2 ** (k + i) * d**i)
                 for i, n in enumerate(self._numerators[k])
             )
         return self._rows[k]
@@ -165,12 +174,12 @@ def compute_series(
     changes earlier entries.
 
     Both identities run on the integer numerators of the module docstring:
-    at exponent k+i, C[k-1][i] is scaled by Q and l(l+1) by Q^2, the
+    at exponent k+i, C[k-1][i] is scaled by 2 and l(l+1) by 4, the
     convolutions need no scaling, and -2 c~_0 = 2, so
 
-        N[k][i] = [ (3-2k+2i) Q N[k-1][i] + conv + 2 sum_p N[0][p] N[k][i-p]
-                    - l(l+1) Q^2 (k==2)(i==0) ] / 2,
-        E_k = -omega (Q N[k-1][k-1] + conv) / (2 Q^(2k-1)).
+        N[k][i] = [ 2 (3-2k+2i) N[k-1][i] + conv + 2 sum_p N[0][p] N[k][i-p]
+                    - 4 l(l+1) (k==2)(i==0) ] / 2,
+        E_k = -omega (2 N[k-1][k-1] + conv) / (4^k D^(k-1)).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -179,7 +188,7 @@ def compute_series(
             f"order {order} exceeds the cap of {max_order}; "
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
-    q, c0 = _momentum_row(potential, order - 1)
+    d, c0 = _momentum_row(potential, order - 1)
     rows = [c0]
     corrections = []
     for k in range(1, order + 1):
@@ -188,14 +197,14 @@ def compute_series(
         prev = rows[k - 1]
         for i in range(order):
             if i == k - 1:
-                row.append(state.principal * q if k == 1 else 0)
+                row.append(2 * state.principal if k == 1 else 0)
                 continue
-            acc = (3 - 2 * k + 2 * i) * q * prev[i] + _convolution(rows, k, i, lo=1)
+            acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + _convolution(rows, k, i, lo=1)
             # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
             acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
             if k == 2 and i == 0:
-                acc -= state.centrifugal * q * q
+                acc -= 4 * state.centrifugal
             row.append(_halve(acc, f"C[{k}][{i}]"))
-        acc = q * prev[k - 1] + _convolution(rows, k, k - 1, lo=0)
-        corrections.append(potential.omega * Fraction(-acc, 2 * q ** (2 * k - 1)))
-    return CoefficientTable(potential, state, q, rows), EnergySeries(tuple(corrections))
+        acc = 2 * prev[k - 1] + _convolution(rows, k, k - 1, lo=0)
+        corrections.append(potential.omega * Fraction(-acc, 4**k * d ** (k - 1)))
+    return CoefficientTable(potential, state, d, rows), EnergySeries(tuple(corrections))

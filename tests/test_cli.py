@@ -194,11 +194,18 @@ class TestConfigFile:
             ({"state": {"n": 1.5}}, "config key 'state.n' must be an integer, got 1.5"),
             ({"format": "xml"}, "config key 'format' must be 'json' or 'csv', got 'xml'"),
             ({"output": 5}, "config key 'output' must be a path, got 5"),
+            ({"oracle": {"tolerance": True}}, "config key 'oracle.tolerance' must be a number"),
+            ({"oracle": {"r_max": True}}, "config key 'oracle.r_max' must be a number"),
+            (
+                {"oracle": {"bracket": [0, True]}},
+                "config key 'oracle.bracket' must be a number, got [0, True]",
+            ),
         ],
         ids=[
             "potential-list", "pade-degree-text", "state-list", "bracket-number",
             "unknown-oracle-key", "unknown-pade-key", "stale-pade-key", "unknown-top-key",
             "v-text", "float-order", "float-state", "unknown-format", "output-number",
+            "bool-tolerance", "bool-r-max", "bool-bracket-end",
         ],
     )
     def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):

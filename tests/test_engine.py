@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm.engine import EngineError, OrderTooLarge, _halve, compute_series
+from anharm.engine import EngineError, OrderTooLarge, _halve, _momentum_row, compute_series
 from anharm.model import make_potential, make_state
 
 from conftest import closed_form_corrections, random_problem, riccati_residuals
@@ -271,3 +271,19 @@ class TestIntegerFill:
         assert _halve(-6, "C[1][1]") == -3
         with pytest.raises(EngineError, match="odd numerator at C\\[2\\]\\[0\\]"):
             _halve(7, "C[2][0]")
+
+    @pytest.mark.parametrize("p", [7, 100, 113])
+    def test_coupling_denominator_stays_out_of_the_cells(self, p):
+        # v1 = 1/p fills on u_1 = v1 p = 1, so its integer rows are those of v1 = 1;
+        # a cell exponent of (2p)^(k+i) would make them differ by p^k.
+        state = make_state(1, 2)
+        scaled, _ = compute_series(make_potential(1, 1, [Fraction(1, p)]), state, 24)
+        unit, _ = compute_series(make_potential(1, 1, [1]), state, 24)
+        assert scaled._numerators == unit._numerators
+        assert scaled.row(3) == tuple(c * Fraction(1, p) ** i for i, c in enumerate(unit.row(3)))
+
+    def test_denominator_base_needs_no_factoring(self):
+        # m omega = 35/12: gcd(lcm den(v~_i) = 5^6 7^4, lcm den(v_i / omega) num(m omega)^2)
+        couplings = [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]
+        pot = make_potential(Fraction(7, 4), Fraction(5, 3), couplings)
+        assert _momentum_row(pot, 3)[0] == 5**4 * 7**2

@@ -32,7 +32,6 @@ from .model import (
     format_rational,
     make_potential,
     make_state,
-    parse_rational,
 )
 
 EXIT_OK = 0
@@ -101,32 +100,58 @@ def _write_atomic(path: str, text: str) -> None:
 # config assembly
 
 
-# Each config section's keys, as _build_job reads them.
-_SECTION_KEYS = {
-    "potential": ("mass", "omega", "v"),
-    "state": ("n", "l"),
-    "pade": ("num_degree", "den_degree"),
-    "oracle": ("grid_points", "tolerance", "r_max", "bracket"),
-}
-
-# Config values that _build_job's int() or str() would take but the flag refuses.
-_INTEGER = (lambda value: not isinstance(value, (bool, float)), "an integer")
-# float() takes a bool; a bracket is checked entry by entry.
-_NUMBER = (
-    lambda value: bool not in map(type, value if isinstance(value, list) else [value]),
-    "a number",
+# One row per problem option, in --help order: its config key ("section.name"
+# inside a section), its flag, what a refused config value must be, and the
+# flag's argparse keywords.  _build_job unpacks the values in this order.
+_OPTIONS = (
+    ("potential.mass", "--mass", "a rational", dict(help="particle mass, rational (default 1)")),
+    ("potential.omega", "--omega", "a rational",
+     dict(help="oscillator frequency, rational (default 1)")),
+    ("potential.v", "--v", "a list of rationals", dict(
+        nargs="*", help="anharmonic coefficients v_1 v_2 ... of r^4, r^6, ... (rationals)",
+    )),
+    ("state.n", "--n", "an integer", dict(type=int, help="radial quantum number (default 0)")),
+    ("state.l", "--l", "an integer", dict(type=int, help="orbital quantum number (default 0)")),
+    ("order", "--order", "an integer", dict(type=int, help="expansion order K (default 8)")),
+    ("format", "--format", "'json' or 'csv'", dict(choices=["json", "csv"], help="output format")),
+    ("output", "--output", "a path", dict(help="output path (directory with --sweep)")),
+    ("pade.num_degree", "--pade-num", "an integer", dict(type=int, help="Pade numerator degree")),
+    ("pade.den_degree", "--pade-den", "an integer", dict(type=int, help="Pade denominator degree")),
+    ("oracle.grid_points", "--grid-points", "an integer", dict(type=int, help="solver grid points")),
+    ("oracle.r_max", "--r-max", "a number", dict(type=float, help="solver box radius")),
+    ("oracle.tolerance", "--tolerance", "a number",
+     dict(type=float, help="solver energy tolerance")),
+    ("oracle.bracket", "--bracket", "a number", dict(
+        nargs=2, type=float, metavar=("LO", "HI"), help="solver energy search interval",
+    )),
 )
-_VALUE_RULES = {
-    "order": _INTEGER, "state.n": _INTEGER, "state.l": _INTEGER,
-    "pade.num_degree": _INTEGER, "pade.den_degree": _INTEGER, "oracle.grid_points": _INTEGER,
-    "oracle.tolerance": _NUMBER, "oracle.r_max": _NUMBER, "oracle.bracket": _NUMBER,
-    "potential.v": (lambda value: isinstance(value, list), "a list"),
-    "format": (lambda value: value in ("json", "csv"), "'json' or 'csv'"),
-    "output": (lambda value: isinstance(value, str), "a path"),
-}
+
+
+def _read_as_flag(value, row: tuple):
+    """A config value as the row's flag reads its text: each item through the
+    flag's type, in the flag's count and within its choices; ConfigError if
+    the flag would refuse it.  A JSON number stands for its text where the
+    flag converts it and for the potential's rationals, which make_potential
+    parses; a JSON bool never does."""
+    key, _, kind, kwargs = row
+    nargs = kwargs.get("nargs")
+    items = value if nargs else [value]
+    numbers = (int, float) if "type" in kwargs or key.startswith("potential.") else ()
+    try:
+        if not isinstance(items, list) or isinstance(nargs, int) and len(items) != nargs:
+            raise ValueError
+        if any(isinstance(x, bool) or not isinstance(x, (str, *numbers)) for x in items):
+            raise ValueError
+        read = [kwargs.get("type", str)(str(item)) for item in items]
+        if any(x not in kwargs.get("choices", read) for x in read):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}") from None
+    return read if nargs else read[0]
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's option values by config key, read as their flags read them."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -134,26 +159,21 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = [key for key in doc if key not in ("order", "format", "output", *_SECTION_KEYS)]
-    for section, keys in _SECTION_KEYS.items():
-        if not isinstance(doc.get(section, {}), dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
-        unknown += [f"{section}.{key}" for key in doc.get(section, {}) if key not in keys]
+    rows = {tuple(row[0].split(".")): row for row in _OPTIONS}
+    sections = {path[0] for path in rows if len(path) == 2}
+    pairs = []
+    for name, entry in doc.items():
+        if name not in sections:
+            pairs.append(((name,), entry))
+        elif isinstance(entry, dict):
+            pairs += [((name, key), value) for key, value in entry.items()]
+        else:
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = [".".join(path) for path, _ in pairs if path not in rows]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    values = {**doc, **{f"{s}.{k}": v for s in _SECTION_KEYS for k, v in doc.get(s, {}).items()}}
-    for key, (valid, kind) in _VALUE_RULES.items():
-        if values.get(key) is not None and not valid(values[key]):
-            raise ConfigError(f"config key {key!r} must be {kind}, got {values[key]!r}")
-    return doc
-
-
-def _pick(cli_value, file_value, default):
-    if cli_value is not None:
-        return cli_value
-    if file_value is not None:
-        return file_value
-    return default
+    # JSON null leaves the option unset.
+    return {rows[p][0]: _read_as_flag(v, rows[p]) for p, v in pairs if v is not None}
 
 
 @dataclasses.dataclass
@@ -179,45 +199,26 @@ def _parse_state_pair(text: str) -> tuple[int, int]:
 
 
 def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
-    file_doc = _load_config_file(args.config) if args.config else {}
-    pot_doc, state_doc, pade_doc, oracle_doc = (file_doc.get(s, {}) for s in _SECTION_KEYS)
-
-    mass = _pick(args.mass, pot_doc.get("mass"), "1")
-    omega = _pick(args.omega, pot_doc.get("omega"), "1")
-    v_list = _pick(args.v, pot_doc.get("v"), [])
-    pade_num = _pick(args.pade_num, pade_doc.get("num_degree"), None)
-    pade_den = _pick(args.pade_den, pade_doc.get("den_degree"), None)
-    try:
-        potential = make_potential(
-            parse_rational(str(mass)),
-            parse_rational(str(omega)),
-            [parse_rational(str(v)) for v in v_list],
-        )
-        n = int(_pick(args.n, state_doc.get("n"), 0))
-        l = int(_pick(args.l, state_doc.get("l"), 0))
-        state = make_state(n, l)
-        order = int(_pick(args.order, file_doc.get("order"), 8))
-        if (pade_num is None) != (pade_den is None):
-            raise ConfigError("--pade-num and --pade-den must be given together")
-        degrees = None if pade_num is None else (int(pade_num), int(pade_den))
-    except (ConfigError, ProblemSpecError):
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    options = _SECTION_KEYS["oracle"]
-    picked = {key: _pick(getattr(args, key), oracle_doc.get(key), None) for key in options}
-    job = Job(
-        potential=potential,
-        state=state,
-        order=order,
-        fmt=_pick(args.format, file_doc.get("format"), "json"),
-        output=_pick(args.output, file_doc.get("output"), None),
-        pade_degrees=degrees,
-        solver={key: value for key, value in picked.items() if value is not None},
+    values = _load_config_file(args.config) if args.config else {}
+    given = {key: getattr(args, flag[2:].replace("-", "_")) for key, flag, *_ in _OPTIONS}
+    values.update((key, value) for key, value in given.items() if value is not None)
+    mass, omega, v, n, l, order, fmt, output, pade_num, pade_den, *_ = (
+        values.get(row[0]) for row in _OPTIONS
     )
+    if (pade_num is None) != (pade_den is None):
+        raise ConfigError("--pade-num and --pade-den must be given together")
     sweep = [_parse_state_pair(s) for s in args.sweep] if args.sweep else []
-    return job, sweep
+    return Job(
+        potential=make_potential(
+            "1" if mass is None else mass, "1" if omega is None else omega, v or []
+        ),
+        state=make_state(n or 0, l or 0),
+        order=8 if order is None else order,
+        fmt=fmt or "json",
+        output=output,
+        pade_degrees=None if pade_num is None else (pade_num, pade_den),
+        solver={k.split(".")[1]: value for k, value in values.items() if k.startswith("oracle.")},
+    ), sweep
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def _run(job: Job, validate: bool) -> str:
     if validate:
         try:
             config = oracle.default_config(job.potential, job.state, **job.solver)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         result = oracle.solve_radial(job.potential, config)
         record = oracle.compare_with_series(result, report)
@@ -332,31 +333,14 @@ def _run_check_harmonic(max_n: int, max_l: int, order: int) -> int:
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mass", help="particle mass, rational (default 1)")
-    parser.add_argument("--omega", help="oscillator frequency, rational (default 1)")
-    parser.add_argument(
-        "--v", nargs="*",
-        help="anharmonic coefficients v_1 v_2 ... of r^4, r^6, ... (rationals)",
-    )
-    parser.add_argument("--n", type=int, help="radial quantum number (default 0)")
-    parser.add_argument("--l", type=int, help="orbital quantum number (default 0)")
-    parser.add_argument("--order", type=int, help="expansion order K (default 8)")
-    parser.add_argument("--format", choices=["json", "csv"], help="output format")
-    parser.add_argument("--output", help="output path (directory with --sweep)")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument(
-        "--sweep", nargs="+", metavar="N,L",
-        help="run several states, one after another, e.g. --sweep 0,0 1,0",
-    )
-    parser.add_argument("--pade-num", type=int, help="Pade numerator degree")
-    parser.add_argument("--pade-den", type=int, help="Pade denominator degree")
-    parser.add_argument("--grid-points", type=int, help="solver grid points")
-    parser.add_argument("--r-max", type=float, help="solver box radius")
-    parser.add_argument("--tolerance", type=float, help="solver energy tolerance")
-    parser.add_argument(
-        "--bracket", nargs=2, type=float, metavar=("LO", "HI"),
-        help="solver energy search interval",
-    )
+    for _, flag, _, kwargs in _OPTIONS:
+        if flag == "--pade-num":  # --config and --sweep come before the Pade flags in --help
+            parser.add_argument("--config", help="JSON config file; flags override it")
+            parser.add_argument(
+                "--sweep", nargs="+", metavar="N,L",
+                help="run several states, one after another, e.g. --sweep 0,0 1,0",
+            )
+        parser.add_argument(flag, **kwargs)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -54,12 +54,12 @@ class OracleConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < math.inf:
+            raise ValueError("r_max must be positive and finite")
         if self.grid_points < 1000:
             raise ValueError("need at least 1000 grid points")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError("bracket must satisfy lo < hi")

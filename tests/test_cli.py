@@ -9,7 +9,7 @@ import pytest
 
 import anharm.engine
 import anharm.wavefunction
-from anharm.cli import main
+from anharm.cli import _OPTIONS, main
 from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
 
@@ -21,6 +21,24 @@ QUARTIC_ARGS = [
 EXPECTED_QUARTIC_CORRECTIONS = [
     "3/2", "3/80", "-33/16000", "783/3200000", "-104097/2560000000",
 ]
+
+
+# One value per option of the cli table, as the words that follow its flag.
+OPTION_TEXTS = {
+    "potential.mass": ["7/4"],
+    "potential.omega": ["5/3"],
+    "potential.v": ["1/10", "-1/50"],
+    "state.n": ["1"],
+    "state.l": ["2"],
+    "order": ["5"],
+    "format": ["csv"],
+    "pade.num_degree": ["2"],
+    "pade.den_degree": ["1"],
+    "oracle.grid_points": ["3000"],
+    "oracle.r_max": ["9"],
+    "oracle.tolerance": ["1e-9"],
+    "oracle.bracket": ["0", "5"],
+}
 
 
 def run_cli(capsys, argv):
@@ -179,9 +197,12 @@ class TestConfigFile:
         "doc, message",
         [
             ({"potential": []}, "'potential' must be a JSON object"),
-            ({"pade": {"num_degree": "x", "den_degree": 1}}, "invalid literal for int()"),
-            ({"state": {"n": [1]}}, "int() argument must be"),
-            ({"oracle": {"bracket": 5}}, "cannot unpack"),
+            (
+                {"pade": {"num_degree": "x", "den_degree": 1}},
+                "config key 'pade.num_degree' must be an integer, got 'x'",
+            ),
+            ({"state": {"n": [1]}}, "config key 'state.n' must be an integer, got [1]"),
+            ({"oracle": {"bracket": 5}}, "config key 'oracle.bracket' must be a number, got 5"),
             (
                 {"potential": {"v": ["1/100"]}, "order": 3, "oracle": {"grid_point": "abc"}},
                 "unknown config key 'oracle.grid_point'",
@@ -200,12 +221,15 @@ class TestConfigFile:
                 {"oracle": {"bracket": [0, True]}},
                 "config key 'oracle.bracket' must be a number, got [0, True]",
             ),
+            ({"oracle": {"bracket": ["a", 5]}}, "config key 'oracle.bracket' must be a number"),
+            ({"oracle": {"bracket": [0, 5, 7]}}, "config key 'oracle.bracket' must be a number"),
         ],
         ids=[
             "potential-list", "pade-degree-text", "state-list", "bracket-number",
             "unknown-oracle-key", "unknown-pade-key", "stale-pade-key", "unknown-top-key",
             "v-text", "float-order", "float-state", "unknown-format", "output-number",
-            "bool-tolerance", "bool-r-max", "bool-bracket-end",
+            "bool-tolerance", "bool-r-max", "bool-bracket-end", "bracket-text-entry",
+            "bracket-three-entries",
         ],
     )
     def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):
@@ -214,6 +238,34 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, ["validate", "--order", "3", "--config", str(config)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ConfigError:") and message in err
+
+    @pytest.mark.parametrize("row", _OPTIONS, ids=[row[0] for row in _OPTIONS])
+    def test_config_value_and_flag_give_the_same_output(self, tmp_path, capsys, row):
+        """Every option of the table, once from the config file as text and once
+        from its flag, over a problem that sets the other options by flag."""
+        key, flag, _, kwargs = row
+        texts = [str(tmp_path / "out.json")] if key == "output" else OPTION_TEXTS[key]
+        command = "validate" if key.startswith("oracle.") else "compute"
+        others = {"--v": ["1/10"], "--order": ["6"], "--pade-num": ["1"], "--pade-den": ["2"]}
+        if command == "validate":
+            others["--grid-points"] = ["4000"]
+        others.pop(flag, None)
+        argv = [command, *(word for name, words in others.items() for word in (name, *words))]
+        section, _, name = key.rpartition(".")
+        value = texts if "nargs" in kwargs else texts[0]
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+
+        def run(extra):
+            code, out, err = run_cli(capsys, [*argv, *extra])
+            if key == "output":
+                out = (tmp_path / "out.json").read_text()
+                os.unlink(tmp_path / "out.json")
+            return code, out, err
+
+        from_file = run(["--config", str(config)])
+        assert from_file[0] == 0 and from_file[1]
+        assert from_file == run([flag, *texts])
 
 
 class TestSweep:
@@ -303,9 +355,15 @@ class TestValidate:
             (["--tolerance", "0"], "tolerance must be positive"),
             (["--r-max", "-1"], "r_max must be positive"),
             (["--bracket", "2", "1"], "bracket must satisfy lo < hi"),
-            (["--config", "{config}"], "invalid literal for int()"),
+            (["--config", "{config}"], "config key 'oracle.grid_points' must be an integer"),
+            (["--tolerance", "nan"], "tolerance must be positive and finite"),
+            (["--tolerance", "inf"], "tolerance must be positive and finite"),
+            (["--r-max", "inf"], "r_max must be positive and finite"),
         ],
-        ids=["grid-points", "tolerance", "r-max", "bracket", "config-grid-points"],
+        ids=[
+            "grid-points", "tolerance", "r-max", "bracket", "config-grid-points",
+            "tolerance-nan", "tolerance-inf", "r-max-inf",
+        ],
     )
     def test_invalid_solver_option_is_config_error(self, tmp_path, capsys, flags, message):
         config = tmp_path / "solver.json"

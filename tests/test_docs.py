@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import anharm
+from anharm.cli import _OPTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +19,8 @@ def test_readme_python_blocks_run():
 def test_public_names_resolve():
     for name in anharm.__all__:
         assert getattr(anharm, name) is not None, name
+
+
+def test_readme_config_table_matches_the_cli():
+    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)` \|$", README.read_text(), re.MULTILINE)
+    assert rows == [(key, flag) for key, flag, *_ in _OPTIONS]

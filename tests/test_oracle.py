@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -193,8 +194,11 @@ class TestFailureModes:
         "kwargs",
         [
             {"r_max": 0.0},
+            {"r_max": math.inf},
             {"grid_points": 500},
             {"tolerance": 0.0},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
             {"bracket": (3.0, 1.0)},
         ],
     )

@@ -3,14 +3,16 @@
 Subcommands: `compute` (exact correction series + partial sums),
 `check-harmonic` (exactness sweep over harmonic states), `validate`
 (series vs independent radial solver).  `compute` and `validate` share one
-runner, `--sweep` included.  `--pade-num`/`--pade-den` add the Pade value,
+runner, `--sweep` included, and one option table, `_OPTIONS`, which holds
+each problem option's config key, flag, default and help; the solver rows
+are `validate`'s alone.  `--pade-num`/`--pade-den` add the Pade value,
 computed exact and rounded once.  Exact rationals are serialized as "p/q"
 strings, floats as plain JSON numbers with 17 significant digits, so
 identical configs produce byte-identical output.
 
 Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options
-included), 3 engine or resummation error (an exactly singular Pade system
-included), 4 solver error.
+and an unwritable --output included), 3 engine or resummation error (an
+exactly singular Pade system included), 4 solver error.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ import tempfile
 from fractions import Fraction
 
 from . import engine, oracle, resummation, wavefunction
-from .model import (
-    ProblemSpecError,
-    QuantumState,
-    format_rational,
-    make_potential,
-    make_state,
-)
+from .model import ProblemSpecError, format_rational, make_potential, make_state
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,30 +53,24 @@ def _format_float(x: float) -> str:
 
 def _dumps(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         items = ",\n".join(
             f'{pad}  {json.dumps(key)}: {_dumps(value, indent + 1)}'
             for key, value in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple)) and obj:
         items = ",\n".join(f"{pad}  {_dumps(value, indent + 1)}" for value in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return json.dumps(obj)
+
+
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    return _format_float(x) if isinstance(x, float) else str(x)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -102,18 +92,25 @@ def _write_atomic(path: str, text: str) -> None:
 
 # One row per problem option, in --help order: its config key ("section.name"
 # inside a section), its flag, what a refused config value must be, and the
-# flag's argparse keywords.  _build_job unpacks the values in this order.
+# flag's argparse keywords, its default included.  The solver rows come last;
+# `compute` takes every row before them.
 _OPTIONS = (
-    ("potential.mass", "--mass", "a rational", dict(help="particle mass, rational (default 1)")),
+    ("potential.mass", "--mass", "a rational",
+     dict(default="1", help="particle mass, rational (default %(default)s)")),
     ("potential.omega", "--omega", "a rational",
-     dict(help="oscillator frequency, rational (default 1)")),
+     dict(default="1", help="oscillator frequency, rational (default %(default)s)")),
     ("potential.v", "--v", "a list of rationals", dict(
-        nargs="*", help="anharmonic coefficients v_1 v_2 ... of r^4, r^6, ... (rationals)",
+        nargs="*", default=[],
+        help="anharmonic coefficients v_1 v_2 ... of r^4, r^6, ... (rationals)",
     )),
-    ("state.n", "--n", "an integer", dict(type=int, help="radial quantum number (default 0)")),
-    ("state.l", "--l", "an integer", dict(type=int, help="orbital quantum number (default 0)")),
-    ("order", "--order", "an integer", dict(type=int, help="expansion order K (default 8)")),
-    ("format", "--format", "'json' or 'csv'", dict(choices=["json", "csv"], help="output format")),
+    ("state.n", "--n", "an integer",
+     dict(type=int, default=0, help="radial quantum number (default %(default)s)")),
+    ("state.l", "--l", "an integer",
+     dict(type=int, default=0, help="orbital quantum number (default %(default)s)")),
+    ("order", "--order", "an integer",
+     dict(type=int, default=8, help="expansion order K (default %(default)s)")),
+    ("format", "--format", "'json' or 'csv'",
+     dict(choices=["json", "csv"], default="json", help="output format")),
     ("output", "--output", "a path", dict(help="output path (directory with --sweep)")),
     ("pade.num_degree", "--pade-num", "an integer", dict(type=int, help="Pade numerator degree")),
     ("pade.den_degree", "--pade-den", "an integer", dict(type=int, help="Pade denominator degree")),
@@ -125,6 +122,8 @@ _OPTIONS = (
         nargs=2, type=float, metavar=("LO", "HI"), help="solver energy search interval",
     )),
 )
+_SOLVER_OPTIONS = [key.split(".")[1] for key, *_ in _OPTIONS if key.startswith("oracle.")]
+_COMMAND_OPTIONS = {"compute": _OPTIONS[: -len(_SOLVER_OPTIONS)], "validate": _OPTIONS}
 
 
 def _read_as_flag(value, row: tuple):
@@ -150,8 +149,9 @@ def _read_as_flag(value, row: tuple):
     return read if nargs else read[0]
 
 
-def _load_config_file(path: str) -> dict:
-    """The file's option values by config key, read as their flags read them."""
+def _load_config_file(path: str, command: str) -> dict:
+    """The file's option values by config key, read as their flags read them;
+    a key the command has no flag for is unknown."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -159,8 +159,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    rows = {tuple(row[0].split(".")): row for row in _OPTIONS}
-    sections = {path[0] for path in rows if len(path) == 2}
+    rows = {tuple(row[0].split(".")): row for row in _COMMAND_OPTIONS[command]}
+    sections = {key.split(".")[0] for key, *_ in _OPTIONS if "." in key}
     pairs = []
     for name, entry in doc.items():
         if name not in sections:
@@ -172,22 +172,8 @@ def _load_config_file(path: str) -> dict:
     unknown = [".".join(path) for path, _ in pairs if path not in rows]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    # JSON null leaves the option unset.
+    # JSON null leaves the option at its flag's default.
     return {rows[p][0]: _read_as_flag(v, rows[p]) for p, v in pairs if v is not None}
-
-
-@dataclasses.dataclass
-class Job:
-    """One problem and its output.  `solver` holds only the solver options
-    the user gave, as keyword arguments of `oracle.default_config`."""
-
-    potential: object
-    state: QuantumState
-    order: int
-    fmt: str
-    output: str | None
-    pade_degrees: tuple[int, int] | None
-    solver: dict
 
 
 def _parse_state_pair(text: str) -> tuple[int, int]:
@@ -198,68 +184,46 @@ def _parse_state_pair(text: str) -> tuple[int, int]:
         raise ConfigError(f"state must look like 'n,l', got {text!r}") from exc
 
 
-def _build_job(args) -> tuple[Job, list[tuple[int, int]]]:
-    values = _load_config_file(args.config) if args.config else {}
-    given = {key: getattr(args, flag[2:].replace("-", "_")) for key, flag, *_ in _OPTIONS}
-    values.update((key, value) for key, value in given.items() if value is not None)
-    mass, omega, v, n, l, order, fmt, output, pade_num, pade_den, *_ = (
-        values.get(row[0]) for row in _OPTIONS
-    )
-    if (pade_num is None) != (pade_den is None):
-        raise ConfigError("--pade-num and --pade-den must be given together")
-    sweep = [_parse_state_pair(s) for s in args.sweep] if args.sweep else []
-    return Job(
-        potential=make_potential(
-            "1" if mass is None else mass, "1" if omega is None else omega, v or []
-        ),
-        state=make_state(n or 0, l or 0),
-        order=8 if order is None else order,
-        fmt=fmt or "json",
-        output=output,
-        pade_degrees=None if pade_num is None else (pade_num, pade_den),
-        solver={k.split(".")[1]: value for k, value in values.items() if k.startswith("oracle.")},
-    ), sweep
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run(job: Job, validate: bool) -> str:
+def _run(args, potential, state, validate: bool) -> str:
     """One problem as a JSON document or as CSV with one row per order.
 
     `validate` adds the radial solver's energy and the deviation of each
     partial sum (and of the Pade value) from it.
     """
-    _, series = engine.compute_series(job.potential, job.state, job.order)
-    pade_value = None if job.pade_degrees is None else resummation.pade(series, *job.pade_degrees)
+    _, series = engine.compute_series(potential, state, args.order)
+    pade_value = None
+    if args.pade_num is not None:
+        pade_value = resummation.pade(series, args.pade_num, args.pade_den)
     report = dataclasses.replace(resummation.divergence_diagnostics(series), pade_value=pade_value)
     doc = {
         "potential": {
-            "mass": format_rational(job.potential.mass),
-            "omega": format_rational(job.potential.omega),
-            "v": [format_rational(v) for v in job.potential.anharmonic],
+            "mass": format_rational(potential.mass),
+            "omega": format_rational(potential.omega),
+            "v": [format_rational(v) for v in potential.anharmonic],
         },
-        "state": {"n": job.state.n, "l": job.state.l},
+        "state": {"n": state.n, "l": state.l},
         "order": series.order,
         "corrections": [format_rational(c) for c in series],
         "partial_sums": report.partial_sums,
     }
-    if report.pade_value is not None:
-        num, den = job.pade_degrees
-        doc["pade"] = {"num_degree": num, "den_degree": den, "value": report.pade_value}
-    header = ["order", "correction", "partial_sum"]
-    columns = [
-        [str(k) for k in range(1, series.order + 1)],
-        doc["corrections"],
-        [_format_float(s) for s in report.partial_sums],
-    ]
+    if pade_value is not None:
+        doc["pade"] = {"num_degree": args.pade_num, "den_degree": args.pade_den, "value": pade_value}
+    columns = {
+        "order": range(1, series.order + 1),
+        "correction": doc["corrections"],
+        "partial_sum": report.partial_sums,
+    }
     if validate:
+        solver = {k: getattr(args, k) for k in _SOLVER_OPTIONS if getattr(args, k) is not None}
         try:
-            config = oracle.default_config(job.potential, job.state, **job.solver)
+            config = oracle.default_config(potential, state, **solver)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        result = oracle.solve_radial(job.potential, config)
+        result = oracle.solve_radial(potential, config)
         record = oracle.compare_with_series(result, report)
         doc["oracle"] = {
             "energy": result.energy,
@@ -273,17 +237,16 @@ def _run(job: Job, validate: bool) -> str:
             "pade_relative_deviation": record.pade_relative_deviation,
             "best_order": record.best_order,
         }
-        pade_text = "" if report.pade_value is None else _format_float(report.pade_value)
-        header += ["abs_deviation", "rel_deviation", "oracle_energy", "pade_value", "best_order"]
-        columns += [
-            [_format_float(d) for d in record.deviations],
-            [_format_float(d) for d in record.relative_deviations],
-            [_format_float(result.energy)] * series.order,
-            [pade_text] * series.order,
-            [str(record.best_order)] * series.order,
-        ]
-    if job.fmt == "csv":
-        return "\n".join(",".join(row) for row in [header, *zip(*columns)]) + "\n"
+        columns.update({
+            "abs_deviation": record.deviations,
+            "rel_deviation": record.relative_deviations,
+            "oracle_energy": [result.energy] * series.order,
+            "pade_value": [pade_value] * series.order,
+            "best_order": [record.best_order] * series.order,
+        })
+    if args.format == "csv":
+        rows = [columns, *zip(*columns.values())]
+        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     return _dumps(doc) + "\n"
 
 
@@ -332,15 +295,17 @@ def _run_check_harmonic(max_n: int, max_l: int, order: int) -> int:
 # argument parsing
 
 
-def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    for _, flag, _, kwargs in _OPTIONS:
+def _add_problem_flags(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
+    """The command's rows as flags; `defaults`, by config key, replaces a row's default."""
+    for key, flag, _, kwargs in _COMMAND_OPTIONS[command]:
         if flag == "--pade-num":  # --config and --sweep come before the Pade flags in --help
             parser.add_argument("--config", help="JSON config file; flags override it")
             parser.add_argument(
                 "--sweep", nargs="+", metavar="N,L",
                 help="run several states, one after another, e.g. --sweep 0,0 1,0",
             )
-        parser.add_argument(flag, **kwargs)
+        action = parser.add_argument(flag, **kwargs)
+        action.default = defaults.get(key, action.default)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -356,18 +321,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="anharm",
         description="Exact perturbation series for spherical anharmonic oscillators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="exact corrections and partial sums")
-    _add_problem_flags(compute)
-
-    validate = sub.add_parser("validate", help="series vs numeric radial solver")
-    _add_problem_flags(validate)
+    for command, help_text in (
+        ("compute", "exact corrections and partial sums"),
+        ("validate", "series vs numeric radial solver"),
+    ):
+        _add_problem_flags(sub.add_parser(command, help=help_text), command, defaults or {})
 
     check = sub.add_parser("check-harmonic", help="harmonic exactness sweep")
     check.add_argument("--max-n", type=int, default=10)
@@ -377,23 +341,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "check-harmonic":
             return _run_check_harmonic(args.max_n, args.max_l, args.order)
-        job, sweep = _build_job(args)
-        states = [make_state(n, l) for n, l in sweep] or [job.state]
-        texts = [_run(dataclasses.replace(job, state=s), args.command == "validate") for s in states]
-        if job.output is None:
+        if args.config:
+            # Config values become the flags' defaults, so a flag given in argv wins.
+            values = _load_config_file(args.config, args.command)
+            args = _build_parser(values).parse_args(argv)
+        if (args.pade_num is None) != (args.pade_den is None):
+            raise ConfigError("--pade-num and --pade-den must be given together")
+        sweep = [_parse_state_pair(s) for s in args.sweep or []]
+        potential = make_potential(args.mass, args.omega, args.v)
+        state = make_state(args.n, args.l)
+        states = [make_state(n, l) for n, l in sweep] or [state]
+        texts = [_run(args, potential, s, args.command == "validate") for s in states]
+        if args.output is None:
             sys.stdout.write("".join(texts))
-        elif not sweep:
-            _write_atomic(job.output, texts[0])
-        else:
-            os.makedirs(job.output, exist_ok=True)
-            for state, text in zip(states, texts):
-                name = f"state_n{state.n}_l{state.l}.{job.fmt}"
-                _write_atomic(os.path.join(job.output, name), text)
+            return EXIT_OK
+        try:
+            if not args.sweep:
+                _write_atomic(args.output, texts[0])
+            else:
+                os.makedirs(args.output, exist_ok=True)
+                for s, text in zip(states, texts):
+                    name = f"state_n{s.n}_l{s.l}.{args.format}"
+                    _write_atomic(os.path.join(args.output, name), text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.output!r}: {exc.strerror}") from exc
         return EXIT_OK
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

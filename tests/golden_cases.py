@@ -1,4 +1,5 @@
-"""Golden outputs: CLI transcripts, a --sweep directory and exact E_k at K = 32 and 64.
+"""Golden outputs: CLI transcripts, a --sweep directory, exact E_k at K = 32 and 64,
+and the `--help` of `compute` and `validate`.
 
 `tests/test_golden.py` renders every case again and compares it byte for byte
 with the files under `tests/golden/`.  The files were recorded before the
@@ -18,7 +19,9 @@ files only for a change that is meant to alter output:
 CLI cases run in-process through `anharm.cli.main`, which is what
 `python -m anharm` calls.  Each transcript holds the argv, the config file
 when the case has one, the exit code, stdout and stderr.  The solver cases use
-a 4000-point grid to stay cheap.
+a 4000-point grid to stay cheap.  The help texts are rendered at 80 columns;
+`help_validate.txt` was recorded before the defaults moved into the option
+table, `help_compute.txt` after `compute` dropped the solver flags.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from anharm.cli import main
 from anharm.engine import compute_series
@@ -69,6 +74,8 @@ CLI_CASES = {
     "error_engine": ["compute", "--order", "65"],
     "error_pade": ["compute", "--order", "5", "--pade-num", "1", "--pade-den", "1"],
 }
+
+HELP_COMMANDS = ("compute", "validate")
 
 # Every solver option, numbers given as strings where the file format allows.
 CONFIG_FILES = {
@@ -122,6 +129,15 @@ def render_cli(name: str) -> dict[str, str]:
     return {f"{name}.txt": transcript, **files}
 
 
+def render_help(command: str) -> dict[str, str]:
+    """`anharm COMMAND --help` at 80 columns."""
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout):
+        with contextlib.suppress(SystemExit):
+            main([command, "--help"])
+    return {f"help_{command}.txt": stdout.getvalue()}
+
+
 def render_series(name: str, order: int = SERIES_ORDER) -> dict[str, str]:
     """E_1..E_order of one problem as "p/q" strings."""
     cases = {SERIES_ORDER: SERIES_CASES, 64: SERIES_K64_CASES}[order]
@@ -139,6 +155,8 @@ def main_write() -> None:
     rendered = {}
     for name in CLI_CASES:
         rendered.update(render_cli(name))
+    for command in HELP_COMMANDS:
+        rendered.update(render_help(command))
     for name in SERIES_CASES:
         rendered.update(render_series(name))
     for name in SERIES_K64_CASES:

@@ -115,6 +115,18 @@ class TestCompute:
         assert code == 0 and out == ""
         assert target.read_text() == stdout_text
 
+    def test_output_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.json"
+        code, out, err = run_cli(capsys, ["compute", "--order", "2", "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError:") and repr(str(target)) in err
+        assert ".anharm-" not in err
+
+    def test_solver_flags_are_not_compute_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compute", "--order", "2", "--tolerance", "0"])
+        assert exit_info.value.code == 2 and capsys.readouterr().out == ""
+
     def test_pade_block(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -186,6 +198,35 @@ class TestConfigFile:
         assert from_flags == from_file
         assert from_file[0] == 0
         assert json.loads(from_file[1])["potential"]["v"] == ["1/10", "-1/50"]
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [
+            (["--order", "8"], {"order": 5}),
+            (["--n", "0"], {"state": {"n": 1}}),
+            (["--format", "json"], {"format": "csv"}),
+        ],
+        ids=["order", "state-n", "format"],
+    )
+    def test_flag_at_its_default_overrides_config(self, tmp_path, capsys, flag, doc):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(doc))
+        argv = ["compute", "--v", "1/10"]
+        without_config = run_cli(capsys, [*argv, *flag])
+        assert without_config[0] == 0
+        assert run_cli(capsys, [*argv, *flag, "--config", str(config)]) == without_config
+        assert run_cli(capsys, [*argv, "--config", str(config)]) != without_config
+
+    def test_solver_keys_are_validate_only(self, tmp_path, capsys):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"oracle": {"tolerance": "1e-9"}}))
+        argv = ["--order", "3", "--config", str(config)]
+        code, out, err = run_cli(capsys, ["compute", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError:")
+        assert "unknown config key 'oracle.tolerance'" in err
+        code, out, _ = run_cli(capsys, ["validate", *argv, "--grid-points", "2000"])
+        assert code == 0 and json.loads(out)["oracle"]["converged"] is True
 
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -306,6 +347,15 @@ class TestSweep:
         assert code == 0
         docs = [json.loads(chunk + "}") for chunk in out.split("}\n") if chunk.strip()]
         assert [d["state"]["l"] for d in docs] == [0, 1]
+
+    def test_output_onto_a_file_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("")
+        code, out, err = run_cli(
+            capsys, ["compute", "--order", "2", "--sweep", "0,0", "--output", str(target)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError:") and repr(str(target)) in err
 
     def test_bad_state_pair(self, capsys):
         code, _, err = run_cli(capsys, ["compute", "--sweep", "1-2"])

@@ -1,7 +1,8 @@
 import pytest
 
 from golden_cases import (
-    CLI_CASES, GOLDEN_DIR, SERIES_CASES, SERIES_K64_CASES, render_cli, render_series,
+    CLI_CASES, GOLDEN_DIR, HELP_COMMANDS, SERIES_CASES, SERIES_K64_CASES,
+    render_cli, render_help, render_series,
 )
 
 
@@ -16,6 +17,11 @@ def test_cli_matches_golden(name):
     written = {p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.glob(f"{name}/*")}
     assert written <= set(rendered), "an output file of the golden run is missing"
     assert_matches_golden(rendered)
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_matches_golden(command):
+    assert_matches_golden(render_help(command))
 
 
 @pytest.mark.parametrize("name", sorted(SERIES_CASES))

@@ -10,9 +10,10 @@ computed exact and rounded once.  Exact rationals are serialized as "p/q"
 strings, floats as plain JSON numbers with 17 significant digits, so
 identical configs produce byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options
-and an unwritable --output included), 3 engine or resummation error (an
-exactly singular Pade system included), 4 solver error.
+Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options,
+a non-finite --bracket end, an order or Pade degrees the library refuses and
+an unwritable --output included), 3 engine or resummation error (an order
+beyond the cap and an exactly singular Pade system included), 4 solver error.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _run(args, potential, state, validate: bool) -> str:
     pade_value = None
     if args.pade_num is not None:
         pade_value = resummation.pade(series, args.pade_num, args.pade_den)
-    report = dataclasses.replace(resummation.divergence_diagnostics(series), pade_value=pade_value)
+    report = resummation.divergence_diagnostics(series)
     doc = {
         "potential": {
             "mass": format_rational(potential.mass),
@@ -219,24 +220,14 @@ def _run(args, potential, state, validate: bool) -> str:
     }
     if validate:
         solver = {k: getattr(args, k) for k in _SOLVER_OPTIONS if getattr(args, k) is not None}
-        try:
-            config = oracle.default_config(potential, state, **solver)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        result = oracle.solve_radial(potential, config)
-        record = oracle.compare_with_series(result, report)
+        result = oracle.solve_radial(potential, oracle.default_config(potential, state, **solver))
+        record = oracle.compare_with_series(result, report, pade_value)
         doc["oracle"] = {
             "energy": result.energy,
             "residual": result.residual_estimate,
             "converged": result.converged,
         }
-        doc["comparison"] = {
-            "deviations": record.deviations,
-            "relative_deviations": record.relative_deviations,
-            "pade_deviation": record.pade_deviation,
-            "pade_relative_deviation": record.pade_relative_deviation,
-            "best_order": record.best_order,
-        }
+        doc["comparison"] = dataclasses.asdict(record)
         columns.update({
             "abs_deviation": record.deviations,
             "rel_deviation": record.relative_deviations,
@@ -355,7 +346,10 @@ def main(argv=None) -> int:
         potential = make_potential(args.mass, args.omega, args.v)
         state = make_state(args.n, args.l)
         states = [make_state(n, l) for n, l in sweep] or [state]
-        texts = [_run(args, potential, s, args.command == "validate") for s in states]
+        try:
+            texts = [_run(args, potential, s, args.command == "validate") for s in states]
+        except ValueError as exc:  # an argument the library refuses
+            raise ConfigError(str(exc)) from exc
         if args.output is None:
             sys.stdout.write("".join(texts))
             return EXIT_OK
@@ -373,7 +367,7 @@ def main(argv=None) -> int:
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (engine.EngineError, resummation.ResummationError, ValueError) as exc:
+    except (engine.EngineError, resummation.ResummationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except oracle.OracleError as exc:

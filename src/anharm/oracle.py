@@ -45,6 +45,11 @@ class NotConverged(OracleError):
     """Bisection stalled before reaching the requested tolerance."""
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy lo < hi, both finite, got {lo}, {hi}")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     r_max: float
@@ -60,9 +65,7 @@ class OracleConfig:
             raise ValueError("need at least 1000 grid points")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        lo, hi = self.bracket
-        if not lo < hi:
-            raise ValueError("bracket must satisfy lo < hi")
+        _check_bracket(*self.bracket)
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def default_config(
     v = _v_eff(potential, state.l, r)
     upper = 3.0 * (2 * state.n + state.l + 1.5) * float(potential.omega) + 10.0
     if bracket is not None:
+        _check_bracket(*bracket)  # before the box is sized from its upper end
         _, upper = bracket
     while bracket is None:
         k = np.sqrt(np.maximum(2.0 * float(potential.mass) * (upper - v), 0.0))
@@ -164,11 +168,11 @@ def default_config(
         r_max=float(r_max),
         grid_points=int(grid_points),
         target_state=state,
-        bracket=(-math.inf, upper) if bracket is None else bracket,
+        bracket=(float(v.min()), upper) if bracket is None else bracket,
         tolerance=float(tolerance),
     )
     if bracket is None:
-        # The lower end is the minimum of V_eff on the grid, now validated.
+        # The lower end moves from the scan's minimum of V_eff to the grid's.
         g = config.grid_points
         v = _v_eff(potential, state.l, np.arange(1, g + 1) * (config.r_max / g))
         config = replace(config, bracket=(float(v.min()), upper))
@@ -210,8 +214,8 @@ def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: floa
 def _integrate(potential, state, energy, h, tv, s):
     """One outward Numerov sweep in summed form.
 
-    Returns (interior node count, u(r_max), rescales): the boundary value is
-    u(r_max) * _RESCALE_LIMIT**rescales.  The recurrence
+    Returns (interior node count, log |u(r_max)|), the log taken of the
+    boundary value times _RESCALE_LIMIT**rescales.  The recurrence
     y_(j+1) - 2 y_j + y_(j-1) = 12 t_j U_j is summed through the differences
     d (Henrici), which keeps the round-off at O(eps) instead of O(eps/h^2).
     The solution is rescaled in the forbidden region to avoid overflow, which
@@ -235,33 +239,28 @@ def _integrate(potential, state, energy, h, tv, s):
             y /= limit
             d /= limit
             rescales += 1
-    return nodes, u, rescales
+    return nodes, math.log(abs(u) or 5e-324) + rescales * _LOG_RESCALE
 
 
-def _log_size(u: float, rescales: int) -> float:
-    """log |u * _RESCALE_LIMIT**rescales|."""
-    return math.log(abs(u) or 5e-324) + rescales * _LOG_RESCALE
+def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket):
+    """Shrink `bracket` around the energy where the node count jumps past n.
 
-
-def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
-    """Shrink [lo, hi] around the energy where the node count jumps past n.
-
-    First bisects on the node count until nodes(lo) = n and nodes(hi) = n + 1,
-    which isolates the level.  Then takes Illinois steps on the boundary value
-    u(r_max; E), whose zero is where the count jumps: regula falsi on
-    |u| * _RESCALE_LIMIT**rescales, halving the value kept at one end each
+    Sweeps the config's state and box on `grid_points` points.  First bisects
+    on the node count until nodes(lo) = n and nodes(hi) = n + 1, which
+    isolates the level.  Then takes Illinois steps on the boundary value
+    u(r_max; E), whose zero is where the count jumps: regula falsi on |u| via
+    the log that _integrate returns, halving the value kept at one end each
     time the end that the last regula falsi step moved moves again.  The node
     count, not the sign, decides which end moves, and a plain bisection step
     is taken whenever the bracket has not halved over the last two steps.
-    Returns (lo, hi, node count at lo).
+    Returns (midpoint of the bracket at the config's tolerance, nodes at lo).
     """
+    state, tolerance = config.target_state, config.tolerance
     n = state.n
-    h, _, tv, s = _grid(potential, state.l, r_max, grid_points)
+    h, _, tv, s = _grid(potential, state.l, config.r_max, grid_points)
     lo, hi = bracket
-    nodes_lo, u, k = _integrate(potential, state, lo, h, tv, s)
-    size_lo = _log_size(u, k)
-    nodes_hi, u, k = _integrate(potential, state, hi, h, tv, s)
-    size_hi = _log_size(u, k)
+    nodes_lo, size_lo = _integrate(potential, state, lo, h, tv, s)
+    nodes_hi, size_hi = _integrate(potential, state, hi, h, tv, s)
     if nodes_lo > n:
         raise BracketingFailure(
             f"lower bracket energy {lo} already has {nodes_lo} nodes (want {n})"
@@ -280,13 +279,12 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
                 f"bracket width {hi - lo:.3e} after {steps} steps "
                 f"(tolerance {tolerance:.3e})"
             )
-        mid = 0.5 * (lo + hi)
+        energy = mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise NotConverged(
                 f"bisection stalled at machine resolution, width {hi - lo:.3e} "
                 f"> tolerance {tolerance:.3e}"
             )
-        energy = mid
         falsi = nodes_lo == n and nodes_hi == n + 1 and hi - lo <= 0.5 * widths[0]
         if falsi:
             # |u(hi)| / |u(lo)|; the two values have opposite signs.
@@ -298,8 +296,7 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
             if not lo < energy < hi:
                 energy, falsi = mid, False
         widths = [widths[1], hi - lo]
-        count, u, k = _integrate(potential, state, energy, h, tv, s)
-        size = _log_size(u, k)
+        count, size = _integrate(potential, state, energy, h, tv, s)
         if count > n:
             if run == 1:
                 size_lo -= _LN2
@@ -311,7 +308,7 @@ def _bisect_on_nodes(potential, state, bracket, r_max, grid_points, tolerance):
         if falsi:
             run = 1 if count > n else -1
         steps += 1
-    return lo, hi, nodes_lo
+    return 0.5 * (lo + hi), nodes_lo
 
 
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
@@ -323,31 +320,18 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     +- _SEED_WIDTH max(1, |E|) and falls back to the configured bracket only
     when that does not straddle its level.
     """
-    state = config.target_state
-    lo, hi, node_count = _bisect_on_nodes(
-        potential, state, config.bracket, config.r_max,
-        config.grid_points, config.tolerance,
-    )
-    energy = 0.5 * (lo + hi)
+    energy, node_count = _bisect_on_nodes(potential, config, config.grid_points, config.bracket)
     seed = _SEED_WIDTH * max(1.0, abs(energy))
-    coarse_points = config.grid_points // 2
+    half = config.grid_points // 2
     try:
-        coarse_lo, coarse_hi, _ = _bisect_on_nodes(
-            potential, state, (energy - seed, energy + seed), config.r_max,
-            coarse_points, config.tolerance,
-        )
+        coarse, _ = _bisect_on_nodes(potential, config, half, (energy - seed, energy + seed))
     except BracketingFailure:
-        coarse_lo, coarse_hi, _ = _bisect_on_nodes(
-            potential, state, config.bracket, config.r_max,
-            coarse_points, config.tolerance,
-        )
-    coarse = 0.5 * (coarse_lo + coarse_hi)
-    residual = max(abs(energy - coarse), 2.0 * config.tolerance)
+        coarse, _ = _bisect_on_nodes(potential, config, half, config.bracket)
     return OracleResult(
         energy=energy,
         node_count=node_count,
-        residual_estimate=residual,
-        converged=node_count == state.n,
+        residual_estimate=max(abs(energy - coarse), 2.0 * config.tolerance),
+        converged=node_count == config.target_state.n,
     )
 
 
@@ -360,10 +344,10 @@ def wavefunction_samples(
 ):
     """Outward-integrated radial function at a fixed energy, max-normalized.
 
-    Returns (r, U) arrays on the interior grid; useful for inspecting the
-    eigenfunction behind a converged solve_radial energy.  Uses the same
-    grid, start values and summed-form update as the solver's sweep; the
-    s points before the sweep start (see _grid) read 0.
+    Returns (r, U) on the interior grid, to inspect the eigenfunction behind
+    a solve_radial energy: the solver's grid, start values and summed-form
+    update without its rescaling (ValueError if U overflows); the s points
+    before the sweep start (see _grid) read 0.
     """
     h, r, tv, s = _grid(potential, state.l, r_max, grid_points)
     c, u0, u, t, y, d = _start(potential, state, energy, h, tv, s)
@@ -376,15 +360,17 @@ def wavefunction_samples(
         values.append(u)
     out = np.array(values)
     peak = np.max(np.abs(out))
+    if not peak < math.inf:
+        raise ValueError(f"the outward solution overflows before r_max = {r_max}")
     if peak > 0:
         out /= peak
     return r, out
 
 
 def compare_with_series(
-    oracle_result: OracleResult, report: SummationReport
+    oracle_result: OracleResult, report: SummationReport, pade_value: float | None = None
 ) -> ComparisonRecord:
-    """Per-order deviation of the summed series from the solver energy.
+    """Deviation of each partial sum, and of `pade_value`, from the solver energy.
 
     best_order is the 1-based truncation with minimal absolute deviation --
     the optimal-truncation point once the asymptotic growth takes over.
@@ -392,15 +378,11 @@ def compare_with_series(
     energy = oracle_result.energy
     scale = max(1.0, abs(energy))
     deviations = tuple(abs(s - energy) for s in report.partial_sums)
-    relative = tuple(d / scale for d in deviations)
-    best = min(range(len(deviations)), key=deviations.__getitem__) + 1
-    pade_dev = (
-        None if report.pade_value is None else abs(report.pade_value - energy)
-    )
+    pade_dev = None if pade_value is None else abs(pade_value - energy)
     return ComparisonRecord(
         deviations=deviations,
-        relative_deviations=relative,
+        relative_deviations=tuple(d / scale for d in deviations),
         pade_deviation=pade_dev,
         pade_relative_deviation=None if pade_dev is None else pade_dev / scale,
-        best_order=best,
+        best_order=min(range(len(deviations)), key=deviations.__getitem__) + 1,
     )

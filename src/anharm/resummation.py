@@ -36,7 +36,6 @@ class SummationReport:
     partial_sums: tuple[float, ...]
     ratios: tuple[float | None, ...]
     growth_flag: bool
-    pade_value: float | None = None
 
 
 def _to_float(value: Fraction) -> float:

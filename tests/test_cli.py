@@ -76,6 +76,22 @@ class TestCompute:
         assert code == 3
         assert "OrderTooLarge" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--order", "0"], "order must be >= 1"),
+            (["--order", "3", "--pade-num", "-1", "--pade-den", "1"],
+             "Pade degrees must be non-negative"),
+            (["--order", "3", "--pade-num", "2", "--pade-den", "2"],
+             "[2/2] needs 5 coefficients"),
+        ],
+        ids=["order-0", "pade-negative", "pade-too-deep"],
+    )
+    def test_refused_argument_is_config_error(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, ["compute"] + flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: ConfigError: {message}")
+
     def test_corrections_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, QUARTIC_ARGS)
         doc = json.loads(out)
@@ -422,6 +438,23 @@ class TestValidate:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ConfigError:") and message in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--bracket", "0", "inf"],
+            ["--bracket", "0", "inf", "--r-max", "10"],
+            ["--config", "{config}"],
+        ],
+        ids=["upper-inf", "upper-inf-with-box", "config-lower-inf"],
+    )
+    def test_non_finite_bracket_end_is_config_error(self, tmp_path, capsys, flags):
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"oracle": {"bracket": ["-inf", "5"]}}))
+        argv = ["validate", "--order", "3"] + [f.replace("{config}", str(config)) for f in flags]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError: bracket must satisfy lo < hi")
 
     def test_oracle_failure_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -16,7 +16,7 @@ from anharm.oracle import (
     solve_radial,
     wavefunction_samples,
 )
-from anharm.resummation import divergence_diagnostics, partial_sums
+from anharm.resummation import divergence_diagnostics, pade, partial_sums
 
 HARMONIC = make_potential(1, 1)
 
@@ -119,6 +119,9 @@ class TestGridRefinement:
         assert result.converged
         assert result.residual_estimate > 1.5e-7
         assert abs(result.energy - 1.5) < result.residual_estimate
+        # Pinned bit for bit: the solve must keep its floating-point operations in order.
+        assert result.energy.hex() == "0x1.7fffffca567afp+0"
+        assert result.residual_estimate.hex() == "0x1.8b27d1b800000p-23"
 
 
 class TestQuarticWeakCoupling:
@@ -200,6 +203,8 @@ class TestFailureModes:
             {"tolerance": math.nan},
             {"tolerance": math.inf},
             {"bracket": (3.0, 1.0)},
+            {"bracket": (0.0, math.inf)},
+            {"bracket": (-math.inf, 1.0)},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -225,6 +230,12 @@ class TestWavefunctionSamples:
         # r^(l+1) growth at the origin
         assert abs(u[0] / u[9]) == pytest.approx((r[0] / r[9]) ** 3, rel=1e-3)
 
+    def test_overflow_is_refused(self):
+        # Below the ground level 1.5 the outward solution grows like
+        # exp(r^2 / 2) and leaves the float range well before r = 40.
+        with pytest.raises(ValueError, match="overflows"):
+            wavefunction_samples(HARMONIC, make_state(0, 0), 1.0, 40.0, 4000)
+
 
 class TestComparisonRecord:
     def test_harmonic_deviations_vanish(self):
@@ -234,6 +245,22 @@ class TestComparisonRecord:
         record = compare_with_series(result, report)
         assert all(d < 1e-9 for d in record.deviations)
         assert record.pade_deviation is None
+
+    def test_pade_deviation(self):
+        pot = make_potential(1, 1, [Fraction(1, 10)])
+        _, series = compute_series(pot, make_state(0, 0), 7)
+        report = divergence_diagnostics(series)
+        result = _solve(pot, 0, 0, grid_points=4000)
+        value = pade(series, 3, 3)
+        record = compare_with_series(result, report, value)
+        assert record.pade_deviation == abs(value - result.energy)
+        assert record.pade_relative_deviation == record.pade_deviation / result.energy
+        # [3/3] resums far past the best partial sum, which is off by 0.1.
+        assert 0 < record.pade_deviation < 1e-3 < min(record.deviations)
+        # The Pade value leaves the partial-sum deviations alone.
+        plain = compare_with_series(result, report)
+        assert plain.pade_deviation is None and plain.pade_relative_deviation is None
+        assert (plain.deviations, plain.best_order) == (record.deviations, record.best_order)
 
     def test_weak_coupling_improves_through_order_five(self):
         pot = make_potential(1, 1, [Fraction(1, 100)])

@@ -143,7 +143,6 @@ class TestDivergenceDiagnostics:
         assert report.ratios[0] == 0.0
         assert all(r is None for r in report.ratios[1:])
         assert report.growth_flag is False
-        assert report.pade_value is None
 
     def test_strong_coupling_growth(self):
         _, series = compute_series(make_potential(1, 1, [1]), make_state(0, 0), 15)
@@ -171,12 +170,11 @@ class TestDivergenceDiagnostics:
         assert settled.ratios == (float(Fraction(1, 3)), 1.0, float(Fraction(3, 7)), 0.0)
         for report in (growing, settled):
             assert report.growth_flag is False
-            assert report.pade_value is None
 
     def test_report_has_no_pade_degrees(self):
         names = [field.name for field in dataclasses.fields(SummationReport)]
         assert names == [
-            "partial_sums", "ratios", "growth_flag", "pade_value",
+            "partial_sums", "ratios", "growth_flag",
         ]
 
     def test_reports_are_read_only(self):

@@ -251,10 +251,11 @@ def _check_state(n: int, l: int, order: int) -> str | None:
             return f"(n={n}, l={l}, k={k}): E_{k} = {e_k} != {want}"
     d = wavefunction.harmonic_d_coefficients(state, max(order, n + 1, 2))
     for k in range(1, order + 1):
-        if table.entry(k, 0) != d[k]:
-            return f"(n={n}, l={l}, k={k}): C[k][0] = {table.entry(k, 0)} != d_k = {d[k]}"
-        for i in range(1, table.imax + 1):
-            if table.entry(k, i) != 0:
+        head, *tail = table.row(k)
+        if head != d[k]:
+            return f"(n={n}, l={l}, k={k}): C[k][0] = {head} != d_k = {d[k]}"
+        for i, entry in enumerate(tail, 1):
+            if entry != 0:
                 return f"(n={n}, l={l}, k={k}): C[k][{i}] != 0"
     poly = wavefunction.node_polynomial(state, d)
     for m in range(1, n + 1):
@@ -300,16 +301,20 @@ def _add_problem_flags(parser: argparse.ArgumentParser, command: str, defaults: 
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a negative rational such as -1/50 as a value, not as an option.
+    """Reads every negative value that a flag's type reads as a value, not as
+    an option: a rational such as -1/50, so that a negative coupling can
+    follow another value of --v, and a float such as -1e9, -2.5e-3, -inf or
+    -nan (any case), so that --bracket -inf 5 meets the bracket check.
 
-    argparse already does so for "-2" and "-0.5"; this widens its
-    negative-number pattern to "p/q" so that a negative coupling can follow
-    another value of --v.  Subparsers inherit the class.
+    argparse alone does so only for "-2" and "-0.5".  Subparsers inherit the
+    class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:

@@ -120,10 +120,15 @@ class CoefficientTable:
             raise IndexError(f"level {k} outside 0..{self.order}")
         if self._rows[k] is None:
             mw, d = self.potential.mass * self.potential.omega, self._d
-            self._rows[k] = tuple(
-                mw ** (1 - k + i) * Fraction(n, 2 ** (k + i) * d**i)
-                for i, n in enumerate(self._numerators[k])
-            )
+            row = []
+            for i, n in enumerate(self._numerators[k]):
+                # (m omega)^e N / (2^(k+i) D^i), e = 1-k+i, as one Fraction of
+                # integers: m omega = a/b, with a and b swapped when e < 0
+                a, b, e = mw.numerator, mw.denominator, 1 - k + i
+                if e < 0:
+                    a, b, e = b, a, -e
+                row.append(Fraction(n * a**e, b**e * 2 ** (k + i) * d**i))
+            self._rows[k] = tuple(row)
         return self._rows[k]
 
 
@@ -189,22 +194,31 @@ def compute_series(
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
     d, c0 = _momentum_row(potential, order - 1)
+    momentum = any(c0[1:])
     rows = [c0]
+    last = [None]  # last[j]: the last nonzero column of row j, -1 for a zero row
     corrections = []
     for k in range(1, order + 1):
         row = []
         rows.append(row)
         prev = rows[k - 1]
+        # The convolution of cell i is zero past the last column that a pair
+        # of nonzero entries reaches; on a harmonic fill that is column 0.
+        reach = max((last[j] + last[k - j] for j in range(1, k)), default=-1)
         for i in range(order):
             if i == k - 1:
                 row.append(2 * state.principal if k == 1 else 0)
                 continue
-            acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + _convolution(rows, k, i, lo=1)
-            # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
-            acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
+            acc = 2 * (3 - 2 * k + 2 * i) * prev[i]
+            if i <= reach:
+                acc += _convolution(rows, k, i, lo=1)
+            if momentum:
+                # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
+                acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
             if k == 2 and i == 0:
                 acc -= 4 * state.centrifugal
             row.append(_halve(acc, f"C[{k}][{i}]"))
+        last.append(max((i for i, x in enumerate(row) if x), default=-1))
         acc = 2 * prev[k - 1] + _convolution(rows, k, k - 1, lo=0)
         corrections.append(potential.omega * Fraction(-acc, 4**k * d ** (k - 1)))
     return CoefficientTable(potential, state, d, rows), EnergySeries(tuple(corrections))

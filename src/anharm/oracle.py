@@ -9,6 +9,8 @@ bracket holds only that jump isolates the level with n radial nodes without
 ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
 count deciding which end moves, then converge on it.  Everything here is
 floating point; it exists to validate the exact series from the outside.
+numpy is imported inside the functions that build arrays, so importing this
+module, as `anharm` and `anharm.cli` do, does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-
-import numpy as np
 
 from .model import PotentialSpec, QuantumState
 from .resummation import SummationReport
@@ -87,12 +87,14 @@ class ComparisonRecord:
     best_order: int
 
 
-def _v_eff(potential: PotentialSpec, l: int, r: np.ndarray) -> np.ndarray:
-    """l(l+1)/(2m r^2) + V(r), the effective radial potential.
+def _v_eff(potential: PotentialSpec, l: int, r):
+    """l(l+1)/(2m r^2) + V(r), the effective radial potential, on the array r.
 
     Built in place: r, one scratch array and the result are the only arrays
     of grid size alive at once.
     """
+    import numpy as np
+
     m = float(potential.mass)
     r2 = r * r
     v = (l * (l + 1) / (2.0 * m)) / r2
@@ -111,6 +113,8 @@ def _box_radius(potential: PotentialSpec, r, v, energy: float) -> float:
     The decay is the trapezoid sum of sqrt(2m (V_eff - E)) over the scan r
     (v = V_eff on it) from the last classically allowed sample outward.
     """
+    import numpy as np
+
     excess = 2.0 * float(potential.mass) * (v - energy)
     allowed = np.flatnonzero(excess < 0.0)
     if allowed.size == 0:
@@ -150,6 +154,8 @@ def default_config(
     a node.  Raises BracketingFailure for potentials that do not confine
     within r = 1e6.
     """
+    import numpy as np
+
     length = 1.0 / math.sqrt(float(potential.mass) * float(potential.omega))
     r = np.geomspace(1e-3 * length, 1e6, 2400)
     v = _v_eff(potential, state.l, r)
@@ -185,6 +191,8 @@ def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
     sweep start s, the least index with tv < 1 at r_(s+3): near the origin
     t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip the
     sign of U = y/(1 - t).  s = 0 for l <= 9 on the default grids."""
+    import numpy as np
+
     h = r_max / grid_points
     r = np.arange(1, grid_points + 1) * h
     tv = _v_eff(potential, l, r)
@@ -345,23 +353,30 @@ def wavefunction_samples(
     """Outward-integrated radial function at a fixed energy, max-normalized.
 
     Returns (r, U) on the interior grid, to inspect the eigenfunction behind
-    a solve_radial energy: the solver's grid, start values and summed-form
-    update without its rescaling (ValueError if U overflows); the s points
-    before the sweep start (see _grid) read 0.
+    a solve_radial energy: the solver's grid, start values, summed-form update
+    and rescaling, which divides u, y, d and the values stored so far by
+    _RESCALE_LIMIT whenever |u| exceeds it; the s points before the sweep
+    start (see _grid) read 0.
     """
+    import numpy as np
+
     h, r, tv, s = _grid(potential, state.l, r_max, grid_points)
     c, u0, u, t, y, d = _start(potential, state, energy, h, tv, s)
     values = [0.0] * s + [u0, u]
+    limit = _RESCALE_LIMIT
     for p in islice(tv, s + 2, None):
         d += 12.0 * t * u
         y += d
         t = p - c
         u = y / (1.0 - t)
+        if abs(u) > limit:
+            u /= limit
+            y /= limit
+            d /= limit
+            values = [x / limit for x in values]
         values.append(u)
     out = np.array(values)
     peak = np.max(np.abs(out))
-    if not peak < math.inf:
-        raise ValueError(f"the outward solution overflows before r_max = {r_max}")
     if peak > 0:
         out /= peak
     return r, out

@@ -12,6 +12,7 @@ is provided.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .engine import CoefficientTable
 from .model import QuantumState
@@ -23,18 +24,17 @@ def harmonic_d_coefficients(state: QuantumState, order: int) -> tuple[Fraction, 
     d_0 = -1, d_1 = 2n+l+1, 2 d_2 = d_1^2 - d_1 - l(l+1), and for k > 2
 
         2 d_k = (3-2k) d_{k-1} + sum_{j=1}^{k-1} d_j d_{k-j}.
+
+    The recursion runs on the integers e_k = 2^(k-1) d_k, for which it reads
+    e_2 = e_1^2 - e_1 - l(l+1) and e_k = (3-2k) e_{k-1} + sum_j e_j e_{k-j}.
     """
     if order < 2:
         raise ValueError("need order >= 2 to reach the first closed coefficient")
     big_n = state.principal
-    d = [Fraction(-1), Fraction(big_n)]
-    d.append(Fraction(big_n * big_n - big_n - state.centrifugal, 2))
+    e = [0, big_n, big_n * big_n - big_n - state.centrifugal]  # e[0] is never read
     for k in range(3, order + 1):
-        acc = (3 - 2 * k) * d[k - 1]
-        for j in range(1, k):
-            acc += d[j] * d[k - j]
-        d.append(acc / 2)
-    return tuple(d)
+        e.append((3 - 2 * k) * e[k - 1] + sum(map(mul, e[1:k], e[k - 1:0:-1])))
+    return (Fraction(-1), *(Fraction(e[k], 2 ** (k - 1)) for k in range(1, order + 1)))
 
 
 def node_polynomial(state: QuantumState, d: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import pytest
 
 import anharm.engine
 import anharm.wavefunction
-from anharm.cli import _OPTIONS, main
+from anharm.cli import _OPTIONS, _build_parser, main
 from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
+from golden_cases import GOLDEN_DIR
 
 QUARTIC_ARGS = [
     "compute", "--mass", "1", "--omega", "1", "--v", "1/100",
@@ -445,8 +447,9 @@ class TestValidate:
             ["--bracket", "0", "inf"],
             ["--bracket", "0", "inf", "--r-max", "10"],
             ["--config", "{config}"],
+            ["--bracket", "-inf", "5"],
         ],
-        ids=["upper-inf", "upper-inf-with-box", "config-lower-inf"],
+        ids=["upper-inf", "upper-inf-with-box", "config-lower-inf", "lower-inf"],
     )
     def test_non_finite_bracket_end_is_config_error(self, tmp_path, capsys, flags):
         config = tmp_path / "solver.json"
@@ -455,6 +458,17 @@ class TestValidate:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ConfigError: bracket must satisfy lo < hi")
+
+    @pytest.mark.parametrize("text", ["-2", "-0.5", "-1e9", "-2.5e-3", "-inf", "-Infinity", "-NaN"])
+    def test_negative_float_forms_are_values(self, text):
+        args = _build_parser().parse_args(["validate", "--bracket", text, "5"])
+        assert repr(args.bracket) == repr([float(text), 5.0])
+
+    def test_exponent_form_negative_is_a_value(self, capsys):
+        argv = ["validate", "--grid-points", "4000", "--bracket"]
+        exponent = run_cli(capsys, [*argv, "-1e3", "5"])
+        assert exponent[0] == 0
+        assert exponent == run_cli(capsys, [*argv, "-1000", "5"])
 
     def test_oracle_failure_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -490,10 +504,11 @@ class TestCheckHarmonic:
             """The table with C[2][0] off by one."""
 
             def __init__(self, table):
-                self.table, self.imax = table, table.imax
+                self.table = table
 
-            def entry(self, k, i):
-                return self.table.entry(k, i) + ((k, i) == (2, 0))
+            def row(self, k):
+                head, *tail = self.table.row(k)
+                return (head + (k == 2), *tail)
 
         def tampered_head(potential, state, order, max_order=64):
             table, series = real_series(potential, state, order, max_order)
@@ -536,3 +551,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["corrections"] == ["3/2", "0"]
+
+
+def test_commands_without_the_solver_run_without_numpy():
+    """compute and check-harmonic never load numpy: with numpy unimportable,
+    their golden cases render byte for byte, and only the solver fails."""
+    names = ["compute_pade_json", "compute_csv", "sweep", "check_harmonic"]
+    script = f"""
+        import json, sys
+        sys.modules["numpy"] = None
+        import anharm
+        from golden_cases import render_cli
+
+        rendered = {{}}
+        for name in {names!r}:
+            rendered.update(render_cli(name))
+        try:
+            anharm.default_config(anharm.make_potential(1, 1), anharm.make_state(0, 0))
+            refused = False
+        except ImportError:
+            refused = True
+        print(json.dumps({{"rendered": rendered, "solver_refused": refused}}))
+    """
+    src = str(Path(anharm.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["solver_refused"]
+    assert all(f"{name}.txt" in result["rendered"] for name in names)
+    for rel, text in result["rendered"].items():
+        assert text.encode() == (GOLDEN_DIR / rel).read_bytes(), rel

@@ -252,8 +252,12 @@ class TestExactProperties:
         table, series = compute_series(pot, state, order)
         assert all(r == 0 for r in riccati_residuals(table, series))
 
-        _, unit = compute_series(make_potential(1, 1, _oscillator_units(pot)), state, order)
+        unit_table, unit = compute_series(make_potential(1, 1, _oscillator_units(pot)), state, order)
         assert list(series) == [omega * e for e in unit]
+        # C[k][i] = (m omega)^(1-k+i) C~[k][i]; an empty coupling list is a harmonic fill
+        for k in range(order + 1):
+            for i, c in enumerate(unit_table.row(k)):
+                assert table.row(k)[i] == (mass * omega) ** (1 - k + i) * c
 
         v1 = couplings[0] if couplings else Fraction(0)
         _, quartic = compute_series(make_potential(mass, omega, [v1]), state, order)

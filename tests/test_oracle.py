@@ -230,11 +230,28 @@ class TestWavefunctionSamples:
         # r^(l+1) growth at the origin
         assert abs(u[0] / u[9]) == pytest.approx((r[0] / r[9]) ** 3, rel=1e-3)
 
-    def test_overflow_is_refused(self):
+    def test_growth_past_the_float_range_is_rescaled(self):
         # Below the ground level 1.5 the outward solution grows like
-        # exp(r^2 / 2) and leaves the float range well before r = 40.
-        with pytest.raises(ValueError, match="overflows"):
-            wavefunction_samples(HARMONIC, make_state(0, 0), 1.0, 40.0, 4000)
+        # exp(r^2 / 2), past the float range well before r = 40.
+        r, u = wavefunction_samples(HARMONIC, make_state(0, 0), 1.0, 40.0, 4000)
+        assert np.all(np.isfinite(u))
+        assert np.argmax(np.abs(u)) == len(r) - 1 and u[-1] == 1.0
+
+    def test_large_l_eigenfunction(self):
+        # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301);
+        # beyond r ~ 22 the growing solution that round-off seeds would take over.
+        state = make_state(0, 300)
+        result = _solve(HARMONIC, 0, 300, grid_points=4000)
+        r, u = wavefunction_samples(HARMONIC, state, result.energy, 20.0, 4000)
+        assert np.all(np.isfinite(u)) and np.max(np.abs(u)) == 1.0
+        assert r[np.argmax(np.abs(u))] == pytest.approx(math.sqrt(301), rel=0.01)
+
+    def test_samples_that_never_rescale_keep_their_values(self):
+        _, u = wavefunction_samples(HARMONIC, make_state(1, 2), 6.5, 10.0, 4000)
+        assert [u[i].hex() for i in (0, 1000, 2000, 3999)] == [
+            "0x1.6bb8cfe7119ddp-76", "-0x1.b7343b81ccf92p-52", "0x1.8c6c47a8875e9p-47",
+            "0x1.0000000000000p+0",
+        ]
 
 
 class TestComparisonRecord:

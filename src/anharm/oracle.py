@@ -152,10 +152,19 @@ def default_config(
     scan of r in 1% steps from a thousandth of the oscillator length to 1e6.
     The lower end is the minimum of V_eff on the grid, where no solution has
     a node.  Raises BracketingFailure for potentials that do not confine
-    within r = 1e6.
+    within r = 1e6, and ValueError for a mass or omega that is not a nonzero
+    finite float or a coupling that is not a finite float.
     """
     import numpy as np
 
+    couplings = [(f"v_{i}", v) for i, v in enumerate(potential.anharmonic, 1)]
+    for name, x in [("mass", potential.mass), ("omega", potential.omega), *couplings]:
+        try:
+            fits = float(x) != 0.0 or name.startswith("v_")
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"{name} is out of the float range the solver works in")
     length = 1.0 / math.sqrt(float(potential.mass) * float(potential.omega))
     r = np.geomspace(1e-3 * length, 1e6, 2400)
     v = _v_eff(potential, state.l, r)
@@ -186,27 +195,26 @@ def default_config(
 
 
 def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
-    """Step h, radii r_j = j h (j = 1..g), the energy-free part of the
-    Numerov factor t_j = (h^2/12) 2m (V_eff(r_j) - E), as a list, and the
-    sweep start s, the least index with tv < 1 at r_(s+3): near the origin
+    """(h, tv, s): the step h, the energy-free part tv_j of the Numerov factor
+    t_j = (h^2/12) 2m (V_eff(r_j) - E) at r_j = j h (j = 1..g), as a list, and
+    the sweep start s, the least index with tv < 1 at r_(s+3): near the origin
     t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip the
     sign of U = y/(1 - t).  s = 0 for l <= 9 on the default grids."""
     import numpy as np
 
     h = r_max / grid_points
-    r = np.arange(1, grid_points + 1) * h
-    tv = _v_eff(potential, l, r)
+    tv = _v_eff(potential, l, np.arange(1, grid_points + 1) * h)
     tv *= h * h / 6.0 * float(potential.mass)
-    return h, r, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
+    return h, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
 
 
 def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: float, tv, s: int):
     """Energy part c of t_j = tv_j - c, and the summed-form state at r_(s+2).
 
-    Returns (c, U(r_(s+1)), U(r_(s+2)), t, y, d) with y = (1 - t) U and
-    d_j = y_j - y_(j-1).  The two values of U come from the small-r series
-    r^(l+1) (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; they are
-    Python floats, so that the sweep loops run on floats.
+    Returns (c, U, t, y, d) at r_(s+2), with y = (1 - t) U and d_j = y_j -
+    y_(j-1).  U at r_(s+1) and r_(s+2) comes from the small-r series r^(l+1)
+    (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; the values are
+    Python floats, so that the sweep loop runs on floats.
     """
     m, omega, l = float(potential.mass), float(potential.omega), state.l
     c = h * h / 6.0 * m * energy
@@ -216,7 +224,7 @@ def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: floa
     u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in (r1, r1 + h))
     t = tv[s + 1] - c
     y = (1.0 - t) * u1
-    return c, u0, u1, t, y, y - (1.0 - (tv[s] - c)) * u0
+    return c, u1, t, y, y - (1.0 - (tv[s] - c)) * u0
 
 
 def _integrate(potential, state, energy, h, tv, s):
@@ -229,7 +237,7 @@ def _integrate(potential, state, energy, h, tv, s):
     The solution is rescaled in the forbidden region to avoid overflow, which
     changes neither node locations nor the boundary sign.
     """
-    c, _, u, t, y, d = _start(potential, state, energy, h, tv, s)
+    c, u, t, y, d = _start(potential, state, energy, h, tv, s)
     nodes = rescales = 0
     sign = math.copysign(1.0, u)
     limit = _RESCALE_LIMIT
@@ -265,7 +273,7 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
     """
     state, tolerance = config.target_state, config.tolerance
     n = state.n
-    h, _, tv, s = _grid(potential, state.l, config.r_max, grid_points)
+    h, tv, s = _grid(potential, state.l, config.r_max, grid_points)
     lo, hi = bracket
     nodes_lo, size_lo = _integrate(potential, state, lo, h, tv, s)
     nodes_hi, size_hi = _integrate(potential, state, hi, h, tv, s)
@@ -341,45 +349,6 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
         residual_estimate=max(abs(energy - coarse), 2.0 * config.tolerance),
         converged=node_count == config.target_state.n,
     )
-
-
-def wavefunction_samples(
-    potential: PotentialSpec,
-    state: QuantumState,
-    energy: float,
-    r_max: float,
-    grid_points: int,
-):
-    """Outward-integrated radial function at a fixed energy, max-normalized.
-
-    Returns (r, U) on the interior grid, to inspect the eigenfunction behind
-    a solve_radial energy: the solver's grid, start values, summed-form update
-    and rescaling, which divides u, y, d and the values stored so far by
-    _RESCALE_LIMIT whenever |u| exceeds it; the s points before the sweep
-    start (see _grid) read 0.
-    """
-    import numpy as np
-
-    h, r, tv, s = _grid(potential, state.l, r_max, grid_points)
-    c, u0, u, t, y, d = _start(potential, state, energy, h, tv, s)
-    values = [0.0] * s + [u0, u]
-    limit = _RESCALE_LIMIT
-    for p in islice(tv, s + 2, None):
-        d += 12.0 * t * u
-        y += d
-        t = p - c
-        u = y / (1.0 - t)
-        if abs(u) > limit:
-            u /= limit
-            y /= limit
-            d /= limit
-            values = [x / limit for x in values]
-        values.append(u)
-    out = np.array(values)
-    peak = np.max(np.abs(out))
-    if peak > 0:
-        out /= peak
-    return r, out
 
 
 def compare_with_series(

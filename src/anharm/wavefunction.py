@@ -64,10 +64,10 @@ def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> fl
     """Truncated log-derivative sum_{k=0}^{order} C_k(r) at a point r > 0.
 
     Evaluates the exact table coefficients in floating point; Laurent poles
-    make r <= 0 invalid.
+    make r <= 0 invalid, and r must be finite.
     """
-    if r <= 0:
-        raise ValueError(f"log-derivative has poles at the origin; need r > 0, got {r}")
+    if not 0 < r < float("inf"):
+        raise ValueError(f"log-derivative has poles at the origin; need r > 0 and finite, got {r}")
     if not 0 <= order <= table.order:
         raise ValueError(f"order {order} outside 0..{table.order}")
     r = float(r)

@@ -459,6 +459,25 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err.startswith("error: ConfigError: bracket must satisfy lo < hi")
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--mass", "1e-400"], "mass"),
+            (["--omega", "1e-400"], "omega"),
+            (["--omega", "1e400"], "omega"),
+            (["--v", "1e400"], "v_1"),
+        ],
+        ids=["mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow"],
+    )
+    def test_parameter_outside_the_float_range_is_config_error(self, capsys, flags, name):
+        argv = ["validate", "--order", "2", "--grid-points", "2000", *flags]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        # Named, without the 400-digit rational.
+        assert err == f"error: ConfigError: {name} is out of the float range the solver works in\n"
+        # The exact series needs no float.
+        assert run_cli(capsys, ["compute", "--order", "2", *flags])[0] == 0
+
     @pytest.mark.parametrize("text", ["-2", "-0.5", "-1e9", "-2.5e-3", "-inf", "-Infinity", "-NaN"])
     def test_negative_float_forms_are_values(self, text):
         args = _build_parser().parse_args(["validate", "--bracket", text, "5"])

@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from anharm import oracle
@@ -14,7 +13,6 @@ from anharm.oracle import (
     compare_with_series,
     default_config,
     solve_radial,
-    wavefunction_samples,
 )
 from anharm.resummation import divergence_diagnostics, pade, partial_sums
 
@@ -77,9 +75,21 @@ class TestHarmonicSpectrum:
         exact = 2 * n + l + 1.5
         assert result.node_count == n
         assert abs(result.energy - exact) <= result.residual_estimate + 1e-11
-        r, u = wavefunction_samples(HARMONIC, state, result.energy, config.r_max, 4000)
-        allowed = u[(r <= np.sqrt(2 * exact)) & (u != 0.0)]
-        assert np.count_nonzero(np.diff(np.sign(allowed))) == n
+        # One sweep at the level, in a box that ends at its turning point sqrt(2E).
+        h, tv, s = oracle._grid(HARMONIC, l, math.sqrt(2 * result.energy), 4000)
+        assert oracle._integrate(HARMONIC, state, result.energy, h, tv, s)[0] == n
+
+    def test_large_l_eigenfunction(self):
+        # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301),
+        # past the float range, so the sweeps must rescale to find the level.
+        state = make_state(0, 300)
+        config = default_config(HARMONIC, state, grid_points=4000, tolerance=1e-11)
+        result = solve_radial(HARMONIC, config)
+        assert result.node_count == 0
+        assert abs(result.energy - 301.5) <= result.residual_estimate
+        h, tv, s = oracle._grid(HARMONIC, 300, config.r_max, 4000)
+        _, size = oracle._integrate(HARMONIC, state, config.bracket[0], h, tv, s)
+        assert size > oracle._LOG_RESCALE  # at least one rescale
 
 
 class TestGridRefinement:
@@ -218,40 +228,6 @@ class TestFailureModes:
         base.update(kwargs)
         with pytest.raises(ValueError):
             OracleConfig(**base)
-
-
-class TestWavefunctionSamples:
-    def test_normalization_and_origin_behavior(self):
-        pot = HARMONIC
-        state = make_state(0, 2)
-        result = _solve(pot, 0, 2, grid_points=4000)
-        r, u = wavefunction_samples(pot, state, result.energy, 8.0, 4000)
-        assert np.max(np.abs(u)) == pytest.approx(1.0)
-        # r^(l+1) growth at the origin
-        assert abs(u[0] / u[9]) == pytest.approx((r[0] / r[9]) ** 3, rel=1e-3)
-
-    def test_growth_past_the_float_range_is_rescaled(self):
-        # Below the ground level 1.5 the outward solution grows like
-        # exp(r^2 / 2), past the float range well before r = 40.
-        r, u = wavefunction_samples(HARMONIC, make_state(0, 0), 1.0, 40.0, 4000)
-        assert np.all(np.isfinite(u))
-        assert np.argmax(np.abs(u)) == len(r) - 1 and u[-1] == 1.0
-
-    def test_large_l_eigenfunction(self):
-        # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301);
-        # beyond r ~ 22 the growing solution that round-off seeds would take over.
-        state = make_state(0, 300)
-        result = _solve(HARMONIC, 0, 300, grid_points=4000)
-        r, u = wavefunction_samples(HARMONIC, state, result.energy, 20.0, 4000)
-        assert np.all(np.isfinite(u)) and np.max(np.abs(u)) == 1.0
-        assert r[np.argmax(np.abs(u))] == pytest.approx(math.sqrt(301), rel=0.01)
-
-    def test_samples_that_never_rescale_keep_their_values(self):
-        _, u = wavefunction_samples(HARMONIC, make_state(1, 2), 6.5, 10.0, 4000)
-        assert [u[i].hex() for i in (0, 1000, 2000, 3999)] == [
-            "0x1.6bb8cfe7119ddp-76", "-0x1.b7343b81ccf92p-52", "0x1.8c6c47a8875e9p-47",
-            "0x1.0000000000000p+0",
-        ]
 
 
 class TestComparisonRecord:

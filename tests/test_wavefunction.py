@@ -4,7 +4,7 @@ import pytest
 
 from anharm.engine import compute_series
 from anharm.model import make_potential, make_state
-from anharm.oracle import default_config, solve_radial, wavefunction_samples
+from anharm.oracle import _grid, _integrate, default_config, solve_radial
 from anharm.wavefunction import (
     evaluate_log_derivative,
     harmonic_d_coefficients,
@@ -111,7 +111,7 @@ class TestLogDerivativeEvaluation:
         assert evaluate_log_derivative(table, 2.0, 1) == pytest.approx(-1.5)
         assert evaluate_log_derivative(table, 2.0, 3) == pytest.approx(-1.5)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
     def test_origin_side_rejected(self, r):
         table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 2)
         with pytest.raises(ValueError, match="r > 0"):
@@ -123,18 +123,18 @@ class TestLogDerivativeEvaluation:
             evaluate_log_derivative(table, 1.0, 3)
 
     def test_quartic_matches_numeric_eigenfunction(self):
-        # truncated series vs finite differences on the solver eigenfunction
+        # Truncated series vs u'/u of the solver's sweep at the level: a
+        # fourth-order difference of log|u| over four boxes of step h that
+        # end at 1 - 2h, 1 - h, 1 + h and 1 + 2h.
         pot = make_potential(1, 1, [Fraction(1, 100)])
         state = make_state(0, 0)
         table, _ = compute_series(pot, state, 6)
-        config = default_config(pot, state, grid_points=8000)
-        energy = solve_radial(pot, config).energy
-        grid_points = 80000
-        r_max = 8.0
-        r, u = wavefunction_samples(pot, state, energy, r_max, grid_points)
-        h = r_max / grid_points
-        j = round(1.0 / h) - 1  # grid index with r[j] == 1.0
-        assert r[j] == pytest.approx(1.0, abs=1e-12)
-        numeric = (u[j - 2] - 8 * u[j - 1] + 8 * u[j + 1] - u[j + 2]) / (12 * h) / u[j]
+        energy = solve_radial(pot, default_config(pot, state, grid_points=8000)).energy
+        steps = 10000
+        logs = []
+        for k in (-2, -1, 1, 2):
+            h, tv, s = _grid(pot, state.l, (steps + k) / steps, steps + k)
+            logs.append(_integrate(pot, state, energy, h, tv, s)[1])
+        numeric = (logs[0] - 8 * logs[1] + 8 * logs[2] - logs[3]) * steps / 12
         truncated = evaluate_log_derivative(table, 1.0, 6)
         assert abs(numeric - truncated) < 1e-4

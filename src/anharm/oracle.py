@@ -107,32 +107,6 @@ def _v_eff(potential: PotentialSpec, l: int, r):
     return v
 
 
-def _box_radius(potential: PotentialSpec, r, v, energy: float) -> float:
-    """Outer turning point of `energy` plus a WKB decay of _DECAY_MARGIN.
-
-    The decay is the trapezoid sum of sqrt(2m (V_eff - E)) over the scan r
-    (v = V_eff on it) from the last classically allowed sample outward.
-    """
-    import numpy as np
-
-    excess = 2.0 * float(potential.mass) * (v - energy)
-    allowed = np.flatnonzero(excess < 0.0)
-    if allowed.size == 0:
-        raise BracketingFailure(
-            f"upper bracket energy {energy} lies below the potential everywhere"
-        )
-    tail = allowed[-1]
-    kappa = np.sqrt(np.maximum(excess[tail:], 0.0))
-    decay = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(r[tail:]))
-    beyond = np.flatnonzero(decay >= _DECAY_MARGIN)
-    if beyond.size == 0:
-        raise BracketingFailure(
-            "potential never reaches the confinement level; "
-            "refusing a non-confining potential"
-        )
-    return float(r[tail + 1 + beyond[0]])
-
-
 def default_config(
     potential: PotentialSpec,
     state: QuantumState,
@@ -143,42 +117,59 @@ def default_config(
 ) -> OracleConfig:
     """Box and bracket sized from the energy, so truncation is negligible.
 
-    The upper bracket end starts at 3 e + 10, e = (2n + l + 3/2) omega the
-    oscillator estimate of the state, and doubles while its WKB phase, the
-    integral of sqrt(2m (E - V_eff)) dr, is below (n + 3/2) pi; level n lies
-    near (n + 3/4) pi.  The box radius is the outer turning point of the
-    upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN) beyond it,
-    which every energy in the bracket exceeds.  Both integrals run over a
-    scan of r in 1% steps from a thousandth of the oscillator length to 1e6.
-    The lower end is the minimum of V_eff on the grid, where no solution has
-    a node.  Raises BracketingFailure for potentials that do not confine
-    within r = 1e6, and ValueError for a mass or omega that is not a nonzero
-    finite float or a coupling that is not a finite float.
+    The upper bracket end starts at 3 e + 10 omega, e = (2n + l + 3/2) omega
+    the oscillator estimate, and doubles while its WKB phase, the integral of
+    sqrt(2m (E - V_eff)) dr, is below (n + 3/2) pi; level n lies near
+    (n + 3/4) pi.  The box radius is the outer turning point of the upper
+    bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which every
+    energy in the bracket exceeds.  Both read one scan of 2m (V_eff - E) in
+    1% steps from 1e-3 to 1e6 oscillator lengths 1/sqrt(m omega).  The lower
+    end is the minimum of V_eff on the grid, where no solution has a node.
+    Raises BracketingFailure for potentials that do not confine within the
+    scan, and ValueError for a mass, omega or mass * omega that is not a
+    nonzero finite float or a coupling that is not a finite float.
     """
     import numpy as np
 
     couplings = [(f"v_{i}", v) for i, v in enumerate(potential.anharmonic, 1)]
-    for name, x in [("mass", potential.mass), ("omega", potential.omega), *couplings]:
+    scales = [("mass", potential.mass), ("omega", potential.omega)]
+    for name, x in [*scales, ("mass * omega", potential.mass * potential.omega), *couplings]:
         try:
             fits = float(x) != 0.0 or name.startswith("v_")
         except OverflowError:
             fits = False
         if not fits:
             raise ValueError(f"{name} is out of the float range the solver works in")
-    length = 1.0 / math.sqrt(float(potential.mass) * float(potential.omega))
-    r = np.geomspace(1e-3 * length, 1e6, 2400)
+    m, omega = float(potential.mass), float(potential.omega)
+    length = 1.0 / math.sqrt(float(potential.mass * potential.omega))
+    r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
     v = _v_eff(potential, state.l, r)
-    upper = 3.0 * (2 * state.n + state.l + 1.5) * float(potential.omega) + 10.0
+    upper = (3.0 * (2 * state.n + state.l + 1.5) + 10.0) * omega
     if bracket is not None:
         _check_bracket(*bracket)  # before the box is sized from its upper end
-        _, upper = bracket
+        upper = float(bracket[1])
+    excess = 2.0 * m * (v - upper)
     while bracket is None:
-        k = np.sqrt(np.maximum(2.0 * float(potential.mass) * (upper - v), 0.0))
+        k = np.sqrt(np.maximum(-excess, 0.0))
         if 0.5 * np.dot(k[1:] + k[:-1], np.diff(r)) >= (state.n + 1.5) * math.pi:
             break
         upper *= 2.0
+        excess = 2.0 * m * (v - upper)
     if r_max is None:
-        r_max = _box_radius(potential, r, v, float(upper))
+        allowed = np.flatnonzero(excess < 0.0)
+        if allowed.size == 0:
+            raise BracketingFailure(
+                f"upper bracket energy {upper} lies below the potential everywhere"
+            )
+        kappa = np.sqrt(np.maximum(excess[allowed[-1]:], 0.0))
+        decay = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(r[allowed[-1]:]))
+        beyond = np.flatnonzero(decay >= _DECAY_MARGIN)
+        if beyond.size == 0:
+            raise BracketingFailure(
+                "potential never reaches the confinement level; "
+                "refusing a non-confining potential"
+            )
+        r_max = r[allowed[-1] + 1 + beyond[0]]
     config = OracleConfig(
         r_max=float(r_max),
         grid_points=int(grid_points),

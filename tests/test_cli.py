@@ -466,8 +466,13 @@ class TestValidate:
             (["--omega", "1e-400"], "omega"),
             (["--omega", "1e400"], "omega"),
             (["--v", "1e400"], "v_1"),
+            (["--mass", "1e-200", "--omega", "1e-200"], "mass * omega"),
+            (["--mass", "1e200", "--omega", "1e200"], "mass * omega"),
         ],
-        ids=["mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow"],
+        ids=[
+            "mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow",
+            "product-underflow", "product-overflow",
+        ],
     )
     def test_parameter_outside_the_float_range_is_config_error(self, capsys, flags, name):
         argv = ["validate", "--order", "2", "--grid-points", "2000", *flags]

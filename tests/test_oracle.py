@@ -179,8 +179,33 @@ class TestDefaultConfig:
         solve_radial(potential, default_config(potential, make_state(*state)))
         assert sweeps <= 30  # fine and half grid together
 
+    @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize(
+        "mass, omega",
+        [(10**6, Fraction(1, 10**6)), (Fraction(1, 10**6), Fraction(1, 10**6)),
+         (Fraction(7, 4), Fraction(5, 3)), (1, Fraction(1, 100))],
+        ids=["unit-length", "long", "bench", "soft"],
+    )
+    def test_oscillator_unit_scaling_law(self, mass, omega, state):
+        """E(m, omega, v) = omega E(1, 1, v~) with v_1 = v~_1 m^2 omega^3.
+
+        The default box and bracket follow the oscillator length and omega,
+        so a unit-length oscillator far from m = omega = 1 solves as well.
+        """
+        unit = _solve(make_potential(1, 1, [Fraction(1, 100)]), *state, grid_points=4000)
+        scaled = make_potential(mass, omega, [Fraction(1, 100) * mass**2 * omega**3])
+        result = _solve(scaled, *state, grid_points=4000)
+        w = float(omega)
+        bound = result.residual_estimate + w * unit.residual_estimate
+        assert abs(result.energy - w * unit.energy) <= bound
+
 
 class TestFailureModes:
+    def test_bracket_below_the_potential_everywhere(self):
+        # No classically allowed point, so no box can be sized from the upper end.
+        with pytest.raises(BracketingFailure, match="lies below the potential everywhere"):
+            default_config(HARMONIC, make_state(0, 0), grid_points=2000, bracket=(-5.0, -1.0))
+
     def test_bracket_below_ground_state(self):
         state = make_state(0, 0)
         config = default_config(HARMONIC, state, grid_points=2000, bracket=(0.0, 0.5))

@@ -254,9 +254,9 @@ def _check_state(n: int, l: int, order: int) -> str | None:
         head, *tail = table.row(k)
         if head != d[k]:
             return f"(n={n}, l={l}, k={k}): C[k][0] = {head} != d_k = {d[k]}"
-        for i, entry in enumerate(tail, 1):
-            if entry != 0:
-                return f"(n={n}, l={l}, k={k}): C[k][{i}] != 0"
+        if any(tail):
+            i = next(i for i, entry in enumerate(tail, 1) if entry)
+            return f"(n={n}, l={l}, k={k}): C[k][{i}] != 0"
     poly = wavefunction.node_polynomial(state, d)
     for m in range(1, n + 1):
         expected = Fraction(m) * (Fraction(m) + l + Fraction(1, 2)) / (m - n - 1)

@@ -26,8 +26,15 @@ the only denominator, and the exponent rule reads
 
 row 0 included.  Every product N[j][p] N[k-j][i-p] of a convolution then
 sits at exponent k+i, so the fill is gcd-free big-integer dot products; the
-only division, by 2, is exact and checked.  A `Fraction` is built once per
-energy, E_k = omega E~_k(u) / D^(k-1), and once per entry of a row read.
+only division, by 2, is exact and checked.
+
+Two zero rules skip what is provably zero.  A convolution skips a pair of
+rows whose last nonzero columns cannot reach the cell.  In a fill without a
+momentum term, that is every harmonic potential and couplings that are zero
+up to K-1, row k ends at the last column that row k-1 or a pair of rows
+reaches, and the rest of the row is zeros.  One `Fraction` is built per
+energy, E_k = omega E~_k(u) / D^(k-1), and per nonzero entry of a row read;
+every zero entry is one shared Fraction(0).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from operator import mul
 from .model import EnergySeries, PotentialSpec, QuantumState
 
 DEFAULT_MAX_ORDER = 64
+_ZERO = Fraction(0)
 
 
 class EngineError(Exception):
@@ -67,18 +75,22 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
     both lcm den(v~_i) and lcm den(v_i / omega) num(m omega)^2 qualify, and so
     does their gcd, which needs no factoring.  The row is filled on the integer
     couplings u_i = v~_i D^i, where c~_i(u) = D^i c~_i(v~) by homogeneity.
+    A coupling past the given ones is zero, with denominator 1, so only the
+    given ones are read as Fractions.
     """
     mw, omega = potential.mass * potential.omega, potential.omega
-    couplings = [potential.coefficient(i) for i in range(1, imax + 1)]
+    couplings = potential.anharmonic[:imax]
     scaled = [v / (omega * mw ** (i + 1)) for i, v in enumerate(couplings, start=1)]
     d = math.gcd(
         math.lcm(*(v.denominator for v in scaled)),
         math.lcm(*((v / omega).denominator for v in couplings)) * mw.numerator**2,
     )
     row = [-1]
-    for i, v in enumerate(scaled, start=1):
+    for i in range(1, imax + 1):
         acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))
-        acc -= 2 ** (i + 1) * v.numerator * (d**i // v.denominator)
+        if i <= len(scaled):  # v_i = 0 past the given couplings
+            v = scaled[i - 1]
+            acc -= 2 ** (i + 1) * v.numerator * (d**i // v.denominator)
         row.append(_halve(acc, f"C0[{i}]"))
     return d, row
 
@@ -95,7 +107,8 @@ class CoefficientTable:
     builds it complete, and it is read-only from then on.  It holds the
     integer numerators N[k][i] of the fill on u_i = v~_i D^i; C~[k][i] has
     degree i in the couplings, so C[k][i] = (m omega)^(1-k+i) N[k][i] / (2^(k+i) D^i).
-    A row of entries, in the problem's own units, is built when first read and kept.
+    A row of entries, in the problem's own units, is built when first read and
+    kept; every zero entry is one shared Fraction(0).
     """
 
     def __init__(self, potential: PotentialSpec, state: QuantumState, d: int, rows: list):
@@ -122,6 +135,9 @@ class CoefficientTable:
             mw, d = self.potential.mass * self.potential.omega, self._d
             row = []
             for i, n in enumerate(self._numerators[k]):
+                if not n:
+                    row.append(_ZERO)
+                    continue
                 # (m omega)^e N / (2^(k+i) D^i), e = 1-k+i, as one Fraction of
                 # integers: m omega = a/b, with a and b swapped when e < 0
                 a, b, e = mw.numerator, mw.denominator, 1 - k + i
@@ -132,17 +148,19 @@ class CoefficientTable:
         return self._rows[k]
 
 
-def _convolution(rows: list, k: int, i: int, lo: int) -> int:
+def _convolution(rows: list, last: list, k: int, i: int, lo: int) -> int:
     """sum_{j=lo}^{k-lo} sum_{p=0}^{i} N[j][p] N[k-j][i-p], at exponent k+i.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
-    value).
+    value), and skips a pair of rows whose last nonzero columns, last[j] and
+    last[k-j], cannot reach column i.
     """
     acc = 0
     for j in range(lo, (k - 1) // 2 + 1):
-        acc += sum(map(mul, rows[j][:i + 1], rows[k - j][i::-1]))
+        if last[j] + last[k - j] >= i:
+            acc += sum(map(mul, rows[j][:i + 1], rows[k - j][i::-1]))
     acc *= 2
-    if k % 2 == 0 and lo <= k // 2:
+    if k % 2 == 0 and lo <= k // 2 and 2 * last[k // 2] >= i:
         row = rows[k // 2]
         acc += sum(map(mul, row[:i + 1], row[i::-1]))
     return acc
@@ -185,6 +203,13 @@ def compute_series(
         N[k][i] = [ 2 (3-2k+2i) N[k-1][i] + conv + 2 sum_p N[0][p] N[k][i-p]
                     - 4 l(l+1) (k==2)(i==0) ] / 2,
         E_k = -omega (2 N[k-1][k-1] + conv) / (4^k D^(k-1)).
+
+    With last[j] the last nonzero column of row j (row 0 included), a row
+    pair (j, k-j) enters a convolution at column i only when
+    last[j] + last[k-j] >= i.  Without a momentum term, row k is filled
+    through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
+    last[j] + last[k-j], and padded with zeros: past it no term of a cell
+    is nonzero.  Each E_k is built as one Fraction of integers.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -196,22 +221,24 @@ def compute_series(
     d, c0 = _momentum_row(potential, order - 1)
     momentum = any(c0[1:])
     rows = [c0]
-    last = [None]  # last[j]: the last nonzero column of row j, -1 for a zero row
+    # last[j]: the last nonzero column of row j, -1 for a zero row
+    last = [max(i for i, x in enumerate(c0) if x)]
+    omega = potential.omega
     corrections = []
     for k in range(1, order + 1):
         row = []
         rows.append(row)
         prev = rows[k - 1]
-        # The convolution of cell i is zero past the last column that a pair
-        # of nonzero entries reaches; on a harmonic fill that is column 0.
+        # Without a momentum term the row is zero past `end`: the convolution
+        # is zero past the last column that a pair of nonzero entries reaches,
+        # and on a harmonic fill that is column 0.
         reach = max((last[j] + last[k - j] for j in range(1, k)), default=-1)
-        for i in range(order):
+        end = order - 1 if momentum else min(max(last[k - 1], reach, 0), order - 1)
+        for i in range(end + 1):
             if i == k - 1:
                 row.append(2 * state.principal if k == 1 else 0)
                 continue
-            acc = 2 * (3 - 2 * k + 2 * i) * prev[i]
-            if i <= reach:
-                acc += _convolution(rows, k, i, lo=1)
+            acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + _convolution(rows, last, k, i, lo=1)
             if momentum:
                 # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
                 acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
@@ -219,6 +246,8 @@ def compute_series(
                 acc -= 4 * state.centrifugal
             row.append(_halve(acc, f"C[{k}][{i}]"))
         last.append(max((i for i, x in enumerate(row) if x), default=-1))
-        acc = 2 * prev[k - 1] + _convolution(rows, k, k - 1, lo=0)
-        corrections.append(potential.omega * Fraction(-acc, 4**k * d ** (k - 1)))
+        row += [0] * (order - 1 - end)
+        acc = 2 * prev[k - 1] + _convolution(rows, last, k, k - 1, lo=0)
+        scale = 4**k * d ** (k - 1) * omega.denominator
+        corrections.append(Fraction(-acc * omega.numerator, scale))
     return CoefficientTable(potential, state, d, rows), EnergySeries(tuple(corrections))

@@ -101,9 +101,10 @@ def _v_eff(potential: PotentialSpec, l: int, r):
     r2 *= 0.5 * m * float(potential.omega) ** 2
     v += r2
     for i, vi in enumerate(potential.anharmonic, 1):
-        np.power(r, 2 * i + 2, out=r2)
-        r2 *= float(vi)
-        v += r2
+        if vi:  # a zero coupling adds nothing, where its power overflows too
+            np.power(r, 2 * i + 2, out=r2)
+            r2 *= float(vi)
+            v += r2
     return v
 
 
@@ -127,7 +128,8 @@ def default_config(
     end is the minimum of V_eff on the grid, where no solution has a node.
     Raises BracketingFailure for potentials that do not confine within the
     scan, and ValueError for a mass, omega or mass * omega that is not a
-    nonzero finite float or a coupling that is not a finite float.
+    nonzero finite float, a coupling that is not a finite float, or a scan
+    whose V_eff overflows before the phase reaches its level.
     """
     import numpy as np
 
@@ -151,9 +153,14 @@ def default_config(
     excess = 2.0 * m * (v - upper)
     while bracket is None:
         k = np.sqrt(np.maximum(-excess, 0.0))
-        if 0.5 * np.dot(k[1:] + k[:-1], np.diff(r)) >= (state.n + 1.5) * math.pi:
+        phase = 0.5 * np.dot(k[1:] + k[:-1], np.diff(r))
+        if phase >= (state.n + 1.5) * math.pi:
             break
         upper *= 2.0
+        # A NaN phase (V_eff is inf - inf on the scan) stays NaN, and an
+        # infinite upper end is never reached: doubling would not end.
+        if math.isnan(phase) or math.isinf(upper):
+            raise ValueError("V_eff on the scan is out of the float range the solver works in")
         excess = 2.0 * m * (v - upper)
     if r_max is None:
         allowed = np.flatnonzero(excess < 0.0)

@@ -468,10 +468,16 @@ class TestValidate:
             (["--v", "1e400"], "v_1"),
             (["--mass", "1e-200", "--omega", "1e-200"], "mass * omega"),
             (["--mass", "1e200", "--omega", "1e200"], "mass * omega"),
+            # The scan runs from 1e77 to 1e86, where r^4 and r^6 overflow:
+            # V_eff is inf - inf, or so large that no finite upper end exceeds it.
+            (["--mass", "1e-80", "--omega", "1e-80", "--v", "0", "1"], "V_eff on the scan"),
+            (["--mass", "1e-80", "--omega", "1e-80", "--v", "-1", "1"], "V_eff on the scan"),
+            (["--mass", "1e-80", "--omega", "1e-80", "--v", "1"], "V_eff on the scan"),
         ],
         ids=[
             "mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow",
             "product-underflow", "product-overflow",
+            "scan-sextic-overflow", "scan-inf-minus-inf", "scan-quartic-overflow",
         ],
     )
     def test_parameter_outside_the_float_range_is_config_error(self, capsys, flags, name):
@@ -558,6 +564,30 @@ class TestCheckHarmonic:
             monkeypatch.undo()
             assert code == 1
             assert out.startswith(located)
+
+    def test_nonzero_tail_entry_is_located(self, capsys, monkeypatch):
+        """A nonzero C[k][i] past the head column is reported at its column."""
+        real_series = anharm.engine.compute_series
+
+        class TailEntry:
+            """The table with C[3][2] set to 1."""
+
+            def __init__(self, table):
+                self.table = table
+
+            def row(self, k):
+                row = self.table.row(k)
+                return (*row[:2], Fraction(1), *row[3:]) if k == 3 else row
+
+        def tampered_tail(potential, state, order, max_order=64):
+            table, series = real_series(potential, state, order, max_order)
+            return (TailEntry(table) if (state.n, state.l) == (1, 1) else table), series
+
+        monkeypatch.setattr(anharm.engine, "compute_series", tampered_tail)
+        code, out, _ = run_cli(
+            capsys, ["check-harmonic", "--max-n", "2", "--max-l", "2", "--order", "5"]
+        )
+        assert (code, out) == (1, "FAIL (n=1, l=1, k=3): C[k][2] != 0\n")
 
     def test_negative_bounds_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["check-harmonic", "--max-n", "-1"])

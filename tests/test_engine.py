@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anharm.engine import EngineError, OrderTooLarge, _halve, _momentum_row, compute_series
 from anharm.model import make_potential, make_state
+from anharm.wavefunction import harmonic_d_coefficients
 
 from conftest import closed_form_corrections, random_problem, riccati_residuals
 
@@ -268,6 +269,54 @@ class TestExactProperties:
                 quartic.correction(k) * other_v1 ** (k - 1)
                 == other.correction(k) * v1 ** (k - 1)
             )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        n=st.integers(0, 5),
+        l=st.integers(0, 6),
+        order=st.integers(1, 24),
+    )
+    def test_harmonic_table_is_the_closed_recursion(self, mass, omega, n, l, order):
+        # C[k][0] = (m omega)^(1-k) d_k and zeros past it, at every rational m, omega
+        state = make_state(n, l)
+        table, _ = compute_series(make_potential(mass, omega), state, order)
+        d = harmonic_d_coefficients(state, max(order, 2))
+        for k in range(order + 1):
+            head, *tail = table.row(k)
+            assert head == (mass * omega) ** (1 - k) * d[k]
+            assert all(entry == 0 for entry in tail)
+            assert all(type(entry) is Fraction for entry in table.row(k))
+
+    @pytest.mark.parametrize(
+        "couplings, order",
+        [
+            ([0, Fraction(1, 5)], 3),
+            ([0, Fraction(1, 5)], 6),
+            ([0, 0, Fraction(1, 7)], 3),  # v_3 lies past imax = 2: a harmonic fill
+            ([0, 0, Fraction(1, 7)], 6),
+        ],
+    )
+    def test_zero_couplings_inside_and_past_imax(self, couplings, order):
+        mass, omega, state = Fraction(7, 4), Fraction(5, 3), make_state(1, 2)
+        table, series = compute_series(make_potential(mass, omega, couplings), state, order)
+        assert all(r == 0 for r in riccati_residuals(table, series))
+        harmonic, unperturbed = compute_series(make_potential(mass, omega), state, order)
+        rows = [table.row(k) for k in range(order + 1)]
+        # the table is harmonic exactly when every nonzero coupling lies past imax
+        harmonic_fill = len(couplings) > order - 1
+        assert (rows == [harmonic.row(k) for k in range(order + 1)]) == harmonic_fill
+        assert (list(series) == list(unperturbed)) == harmonic_fill
+
+    def test_momentum_row_that_ends_early(self):
+        # 2V = (r + r^3)^2, so c = (-1, -1, 0, ...), yet the momentum term
+        # carries each row C_k past the last nonzero column of c and of C_(k-1)
+        pot = make_potential(1, 1, [1, Fraction(1, 2)])
+        table, series = compute_series(pot, make_state(1, 2), 6)
+        assert table.row(0) == (-1, -1, 0, 0, 0, 0)
+        assert table.row(1)[2] != 0
+        assert all(r == 0 for r in riccati_residuals(table, series))
 
 
 class TestIntegerFill:

@@ -199,6 +199,15 @@ class TestDefaultConfig:
         bound = result.residual_estimate + w * unit.residual_estimate
         assert abs(result.energy - w * unit.energy) <= bound
 
+    def test_zero_couplings_add_nothing(self):
+        """A zero coupling whose power overflows on the scan (r^52 at 1e6)
+        leaves the box, the bracket and the level as they are without it."""
+        quartic = make_potential(1, 1, [1])
+        padded = make_potential(1, 1, [1] + [0] * 25)
+        configs = [default_config(p, make_state(0, 0), grid_points=2000) for p in (quartic, padded)]
+        assert configs[0] == configs[1]
+        assert solve_radial(quartic, configs[0]) == solve_radial(padded, configs[1])
+
 
 class TestFailureModes:
     def test_bracket_below_the_potential_everywhere(self):

@@ -87,6 +87,24 @@ class ComparisonRecord:
     best_order: int
 
 
+def _floats(potential: PotentialSpec):
+    """(m, omega, m omega, couplings), the solver's one float view of the potential.
+    ValueError for a mass, omega or mass * omega that is not a nonzero finite
+    float, or a coupling that overflows; one that rounds to 0.0 is kept."""
+    m, omega = potential.mass, potential.omega
+    values = []
+    for name, x in [("mass", m), ("omega", omega), ("mass * omega", m * omega),
+                    *((f"v_{i}", v) for i, v in enumerate(potential.anharmonic, 1))]:
+        try:
+            values.append(float(x))
+            fits = values[-1] != 0.0 or name.startswith("v_")
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"{name} is out of the float range the solver works in")
+    return values[0], values[1], values[2], values[3:]
+
+
 def _v_eff(potential: PotentialSpec, l: int, r):
     """l(l+1)/(2m r^2) + V(r), the effective radial potential, on the array r.
 
@@ -95,15 +113,15 @@ def _v_eff(potential: PotentialSpec, l: int, r):
     """
     import numpy as np
 
-    m = float(potential.mass)
+    m, omega, _, couplings = _floats(potential)
     r2 = r * r
     v = (l * (l + 1) / (2.0 * m)) / r2
-    r2 *= 0.5 * m * float(potential.omega) ** 2
+    r2 *= 0.5 * m * omega ** 2
     v += r2
-    for i, vi in enumerate(potential.anharmonic, 1):
+    for i, vi in enumerate(couplings, 1):
         if vi:  # a zero coupling adds nothing, where its power overflows too
             np.power(r, 2 * i + 2, out=r2)
-            r2 *= float(vi)
+            r2 *= vi
             v += r2
     return v
 
@@ -127,62 +145,48 @@ def default_config(
     1% steps from 1e-3 to 1e6 oscillator lengths 1/sqrt(m omega).  The lower
     end is the minimum of V_eff on the grid, where no solution has a node.
     Raises BracketingFailure for potentials that do not confine within the
-    scan, and ValueError for a mass, omega or mass * omega that is not a
-    nonzero finite float, a coupling that is not a finite float, or a scan
-    whose V_eff overflows before the phase reaches its level.
+    scan, and ValueError for what _floats refuses and for a scan that sizes
+    box or bracket with a NaN V_eff, or a V_eff above every finite upper end.
     """
     import numpy as np
 
-    couplings = [(f"v_{i}", v) for i, v in enumerate(potential.anharmonic, 1)]
-    scales = [("mass", potential.mass), ("omega", potential.omega)]
-    for name, x in [*scales, ("mass * omega", potential.mass * potential.omega), *couplings]:
-        try:
-            fits = float(x) != 0.0 or name.startswith("v_")
-        except OverflowError:
-            fits = False
-        if not fits:
-            raise ValueError(f"{name} is out of the float range the solver works in")
-    m, omega = float(potential.mass), float(potential.omega)
-    length = 1.0 / math.sqrt(float(potential.mass * potential.omega))
-    r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
-    v = _v_eff(potential, state.l, r)
-    upper = (3.0 * (2 * state.n + state.l + 1.5) + 10.0) * omega
-    if bracket is not None:
-        _check_bracket(*bracket)  # before the box is sized from its upper end
-        upper = float(bracket[1])
-    excess = 2.0 * m * (v - upper)
-    while bracket is None:
-        k = np.sqrt(np.maximum(-excess, 0.0))
-        phase = 0.5 * np.dot(k[1:] + k[:-1], np.diff(r))
-        if phase >= (state.n + 1.5) * math.pi:
-            break
-        upper *= 2.0
-        # A NaN phase (V_eff is inf - inf on the scan) stays NaN, and an
-        # infinite upper end is never reached: doubling would not end.
-        if math.isnan(phase) or math.isinf(upper):
+    m, omega, mw, _ = _floats(potential)
+    length = 1.0 / math.sqrt(mw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
+        v = _v_eff(potential, state.l, r)
+        upper = (3.0 * (2 * state.n + state.l + 1.5) + 10.0) * omega
+        if bracket is not None:
+            _check_bracket(*bracket)  # before the box is sized from its upper end
+            upper = float(bracket[1])
+        if (bracket is None or r_max is None) and np.isnan(v).any():
             raise ValueError("V_eff on the scan is out of the float range the solver works in")
+        while bracket is None:
+            k = np.sqrt(np.maximum(2.0 * m * (upper - v), 0.0))
+            phase = 0.5 * np.dot(k[1:] + k[:-1], np.diff(r))
+            if phase >= (state.n + 1.5) * math.pi:
+                break
+            upper *= 2.0
+            if math.isinf(upper):  # V_eff exceeds every finite upper end
+                raise ValueError("V_eff on the scan is out of the float range the solver works in")
         excess = 2.0 * m * (v - upper)
-    if r_max is None:
-        allowed = np.flatnonzero(excess < 0.0)
-        if allowed.size == 0:
-            raise BracketingFailure(
-                f"upper bracket energy {upper} lies below the potential everywhere"
-            )
-        kappa = np.sqrt(np.maximum(excess[allowed[-1]:], 0.0))
-        decay = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(r[allowed[-1]:]))
-        beyond = np.flatnonzero(decay >= _DECAY_MARGIN)
-        if beyond.size == 0:
-            raise BracketingFailure(
-                "potential never reaches the confinement level; "
-                "refusing a non-confining potential"
-            )
-        r_max = r[allowed[-1] + 1 + beyond[0]]
+        if r_max is None:
+            allowed = np.flatnonzero(excess < 0.0)
+            if allowed.size == 0:
+                raise BracketingFailure(
+                    f"upper bracket energy {upper} lies below the potential everywhere"
+                )
+            kappa = np.sqrt(np.maximum(excess[allowed[-1]:], 0.0))
+            decay = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(r[allowed[-1]:]))
+            beyond = np.flatnonzero(decay >= _DECAY_MARGIN)
+            if beyond.size == 0:
+                raise BracketingFailure(
+                    "potential never reaches the confinement level; "
+                    "refusing a non-confining potential"
+                )
+            r_max = r[allowed[-1] + 1 + beyond[0]]
     config = OracleConfig(
-        r_max=float(r_max),
-        grid_points=int(grid_points),
-        target_state=state,
-        bracket=(float(v.min()), upper) if bracket is None else bracket,
-        tolerance=float(tolerance),
+        float(r_max), int(grid_points), state, bracket or (float(v.min()), upper), float(tolerance)
     )
     if bracket is None:
         # The lower end moves from the scan's minimum of V_eff to the grid's.
@@ -202,27 +206,8 @@ def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
 
     h = r_max / grid_points
     tv = _v_eff(potential, l, np.arange(1, grid_points + 1) * h)
-    tv *= h * h / 6.0 * float(potential.mass)
+    tv *= h * h / 6.0 * _floats(potential)[0]
     return h, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
-
-
-def _start(potential: PotentialSpec, state: QuantumState, energy: float, h: float, tv, s: int):
-    """Energy part c of t_j = tv_j - c, and the summed-form state at r_(s+2).
-
-    Returns (c, U, t, y, d) at r_(s+2), with y = (1 - t) U and d_j = y_j -
-    y_(j-1).  U at r_(s+1) and r_(s+2) comes from the small-r series r^(l+1)
-    (1 + u1 r^2 + u2 r^4), accurate beyond the scheme order; the values are
-    Python floats, so that the sweep loop runs on floats.
-    """
-    m, omega, l = float(potential.mass), float(potential.omega), state.l
-    c = h * h / 6.0 * m * energy
-    u1c = -m * energy / (2 * l + 3)
-    u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
-    r1 = (s + 1) * h
-    u0, u1 = (x ** (l + 1) * (1.0 + u1c * x * x + u2c * x**4) for x in (r1, r1 + h))
-    t = tv[s + 1] - c
-    y = (1.0 - t) * u1
-    return c, u1, t, y, y - (1.0 - (tv[s] - c)) * u0
 
 
 def _integrate(potential, state, energy, h, tv, s):
@@ -232,10 +217,25 @@ def _integrate(potential, state, energy, h, tv, s):
     boundary value times _RESCALE_LIMIT**rescales.  The recurrence
     y_(j+1) - 2 y_j + y_(j-1) = 12 t_j U_j is summed through the differences
     d (Henrici), which keeps the round-off at O(eps) instead of O(eps/h^2).
+    It starts from U = r^(l+1) (1 + u1 r^2 + u2 r^4) at r_(s+1) and r_(s+2).
     The solution is rescaled in the forbidden region to avoid overflow, which
     changes neither node locations nor the boundary sign.
     """
-    c, u, t, y, d = _start(potential, state, energy, h, tv, s)
+    m, omega, l = *_floats(potential)[:2], state.l
+    c = h * h / 6.0 * m * energy
+    u1c = -m * energy / (2 * l + 3)
+    u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
+    r1 = (s + 1) * h
+    try:
+        p0, p1 = r1 ** (l + 1), (r1 + h) ** (l + 1)
+    except OverflowError:
+        p0 = 0.0
+    if p0 == 0.0:
+        raise ValueError("start value r^(l+1) is out of the float range the solver works in")
+    u0, u = (p * (1.0 + u1c * x * x + u2c * x**4) for p, x in ((p0, r1), (p1, r1 + h)))
+    t = tv[s + 1] - c
+    y = (1.0 - t) * u
+    d = y - (1.0 - (tv[s] - c)) * u0
     nodes = rescales = 0
     sign = math.copysign(1.0, u)
     limit = _RESCALE_LIMIT

@@ -282,13 +282,14 @@ class TestConfigFile:
             ),
             ({"oracle": {"bracket": ["a", 5]}}, "config key 'oracle.bracket' must be a number"),
             ({"oracle": {"bracket": [0, 5, 7]}}, "config key 'oracle.bracket' must be a number"),
+            ([1], "config file must hold a JSON object"),
         ],
         ids=[
             "potential-list", "pade-degree-text", "state-list", "bracket-number",
             "unknown-oracle-key", "unknown-pade-key", "stale-pade-key", "unknown-top-key",
             "v-text", "float-order", "float-state", "unknown-format", "output-number",
             "bool-tolerance", "bool-r-max", "bool-bracket-end", "bracket-text-entry",
-            "bracket-three-entries",
+            "bracket-three-entries", "top-level-array",
         ],
     )
     def test_malformed_section_is_config_error(self, tmp_path, capsys, doc, message):
@@ -473,11 +474,16 @@ class TestValidate:
             (["--mass", "1e-80", "--omega", "1e-80", "--v", "0", "1"], "V_eff on the scan"),
             (["--mass", "1e-80", "--omega", "1e-80", "--v", "-1", "1"], "V_eff on the scan"),
             (["--mass", "1e-80", "--omega", "1e-80", "--v", "1"], "V_eff on the scan"),
+            # The sweep starts about l/sqrt(12) grid steps out, at r = 11.4 and
+            # 2.9, where r^(l+1) overflows.
+            (["--l", "1000"], "start value r^(l+1)"),
+            (["--l", "400"], "start value r^(l+1)"),
         ],
         ids=[
             "mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow",
             "product-underflow", "product-overflow",
             "scan-sextic-overflow", "scan-inf-minus-inf", "scan-quartic-overflow",
+            "start-l1000", "start-l400",
         ],
     )
     def test_parameter_outside_the_float_range_is_config_error(self, capsys, flags, name):
@@ -488,6 +494,31 @@ class TestValidate:
         assert err == f"error: ConfigError: {name} is out of the float range the solver works in\n"
         # The exact series needs no float.
         assert run_cli(capsys, ["compute", "--order", "2", *flags])[0] == 0
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            ([], 2, "ConfigError: V_eff on the scan is out of the float range the solver works in"),
+            # With the box given as well the scan sizes nothing, and the
+            # solver reports the bracket.
+            (["--r-max", "10"], 4, "BracketingFailure: upper bracket energy 5.0 shows only 0 nodes"),
+        ],
+        ids=["scan-sizes-the-box", "box-given"],
+    )
+    def test_user_bracket_on_an_overflowing_scan(self, capsys, flags, code, message):
+        argv = ["validate", "--order", "2", "--grid-points", "2000", "--mass", "1e-80"]
+        argv += ["--omega", "1e-80", "--v", "-1", "1", "--bracket", "0", "5", *flags]
+        result = run_cli(capsys, argv)
+        assert result[:2] == (code, "")
+        assert result[2].startswith(f"error: {message}") and result[2].count("\n") == 1
+
+    def test_power_that_overflows_on_the_scan_is_silent(self, capsys):
+        # v_25 r^52 overflows at the far end of the scan, where V_eff is inf
+        # and the potential still confines: the solve succeeds, warning-free.
+        argv = ["validate", "--order", "2", "--grid-points", "2000", "--v", *["0"] * 24, "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle"]["converged"] is True
 
     @pytest.mark.parametrize("text", ["-2", "-0.5", "-1e9", "-2.5e-3", "-inf", "-Infinity", "-NaN"])
     def test_negative_float_forms_are_values(self, text):
@@ -510,6 +541,11 @@ class TestValidate:
 
 
 class TestCheckHarmonic:
+    def test_order_below_two_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, ["check-harmonic", "--order", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: ConfigError: order must be >= 2\n"
+
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, ["check-harmonic", "--max-n", "3", "--max-l", "3", "--order", "6"]

@@ -208,6 +208,13 @@ class TestDefaultConfig:
         assert configs[0] == configs[1]
         assert solve_radial(quartic, configs[0]) == solve_radial(padded, configs[1])
 
+    def test_coupling_that_rounds_to_zero_is_kept(self):
+        # v_1 = 10^-400 is 0.0 as a float, not out of the float range.
+        tiny = make_potential(1, 1, [Fraction(1, 10**400)])
+        state = make_state(0, 0)
+        expected = default_config(HARMONIC, state, grid_points=2000)
+        assert default_config(tiny, state, grid_points=2000) == expected
+
 
 class TestFailureModes:
     def test_bracket_below_the_potential_everywhere(self):
@@ -236,6 +243,42 @@ class TestFailureModes:
         config = default_config(HARMONIC, make_state(0, 0), grid_points=1000, tolerance=1e-30)
         with pytest.raises(NotConverged):
             solve_radial(HARMONIC, config)
+
+    def test_step_limit_names_the_step_count(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 3)
+        config = default_config(HARMONIC, make_state(0, 0), grid_points=1000)
+        with pytest.raises(NotConverged, match=r"after 3 steps \(tolerance 1\.000e-12\)"):
+            solve_radial(HARMONIC, config)
+
+    @pytest.mark.parametrize(
+        "potential, name",
+        [
+            (make_potential(Fraction(1, 10**400), 1), "mass"),
+            (make_potential(1, 1, [10**400]), "v_1"),
+            (make_potential(1, 10**400), "omega"),
+        ],
+        ids=["mass-underflow", "coupling-overflow", "omega-overflow"],
+    )
+    def test_solve_radial_refuses_what_default_config_refuses(self, potential, name):
+        config = default_config(HARMONIC, make_state(0, 0), grid_points=2000)
+        message = f"{name} is out of the float range the solver works in"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_config(potential, make_state(0, 0), grid_points=2000)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_radial(potential, config)
+
+    @pytest.mark.parametrize(
+        "couplings, l, grid_points",
+        [([], 1000, 16000), ([], 400, 2000), ([1], 1000, 16000)],
+        ids=["overflow-l1000", "overflow-l400", "underflow-quartic-l1000"],
+    )
+    def test_start_value_outside_the_float_range(self, couplings, l, grid_points):
+        # The sweep starts at r = 1.41, 2.91 and 0.164, where r^(l+1) overflows,
+        # overflows and underflows to 0.
+        potential = make_potential(1, 1, couplings)
+        config = default_config(potential, make_state(0, l), grid_points=grid_points)
+        with pytest.raises(ValueError, match="start value r\\^\\(l\\+1\\) is out of the float"):
+            solve_radial(potential, config)
 
     @pytest.mark.parametrize(
         "kwargs",

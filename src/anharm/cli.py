@@ -259,9 +259,11 @@ def _check_state(n: int, l: int, order: int) -> str | None:
             return f"(n={n}, l={l}, k={k}): C[k][{i}] != 0"
     poly = wavefunction.node_polynomial(state, d)
     for m in range(1, n + 1):
-        expected = Fraction(m) * (Fraction(m) + l + Fraction(1, 2)) / (m - n - 1)
-        if poly[m - 1] / poly[m] != expected:
-            return f"(n={n}, l={l}, m={m}): polynomial ratio != {expected}"
+        # p_(m-1)/p_m = m (2m + 2l + 1) / (2 (m - n - 1)), cross-multiplied.
+        num, den = m * (2 * m + 2 * l + 1), 2 * (m - n - 1)
+        lower, upper = poly[m - 1], poly[m]
+        if lower.numerator * upper.denominator * den != upper.numerator * lower.denominator * num:
+            return f"(n={n}, l={l}, m={m}): polynomial ratio != {Fraction(num, den)}"
     return None
 
 

@@ -7,8 +7,10 @@ function of E that jumps by one exactly at each box eigenvalue, where the
 boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
 bracket holds only that jump isolates the level with n radial nodes without
 ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
-count deciding which end moves, then converge on it.  Everything here is
-floating point; it exists to validate the exact series from the outside.
+count deciding which end moves, then converge on it.  An eighth-size grid
+finds the level, the configured grid converges on it from that energy, and a
+half-size grid gives the error estimate.  Everything here is floating point;
+it exists to validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module, as `anharm` and `anharm.cli` do, does not load it.
 """
@@ -29,7 +31,7 @@ _LN2 = math.log(2.0)
 # WKB decay, integral of sqrt(2m (V_eff - E)) dr, that the default box adds
 # beyond the outer turning point of the upper bracket energy.
 _DECAY_MARGIN = 20.0
-# Half width, relative to max(1, |E|), of the half-grid solve's first bracket.
+# Half width, relative to max(1, |E|), of a seeded solve's first bracket.
 _SEED_WIDTH = 1e-7
 
 
@@ -145,8 +147,9 @@ def default_config(
     1% steps from 1e-3 to 1e6 oscillator lengths 1/sqrt(m omega).  The lower
     end is the minimum of V_eff on the grid, where no solution has a node.
     Raises BracketingFailure for potentials that do not confine within the
-    scan, and ValueError for what _floats refuses and for a scan that sizes
-    box or bracket with a NaN V_eff, or a V_eff above every finite upper end.
+    scan, and ValueError for what _floats refuses, for a scan that sizes box
+    or bracket with a NaN V_eff, or a V_eff above every finite upper end
+    (2 V_eff finite nowhere), and for a V_eff on the grid that is not finite.
     """
     import numpy as np
 
@@ -159,7 +162,10 @@ def default_config(
         if bracket is not None:
             _check_bracket(*bracket)  # before the box is sized from its upper end
             upper = float(bracket[1])
-        if (bracket is None or r_max is None) and np.isnan(v).any():
+        # The upper end doubles, so it can pass V_eff only where 2 V_eff is finite.
+        if (bracket is None or r_max is None) and (
+            np.isnan(v).any() or not np.isfinite(2.0 * v).any()
+        ):
             raise ValueError("V_eff on the scan is out of the float range the solver works in")
         while bracket is None:
             k = np.sqrt(np.maximum(2.0 * m * (upper - v), 0.0))
@@ -191,9 +197,25 @@ def default_config(
     if bracket is None:
         # The lower end moves from the scan's minimum of V_eff to the grid's.
         g = config.grid_points
-        v = _v_eff(potential, state.l, np.arange(1, g + 1) * (config.r_max / g))
+        v = _on_grid(potential, state.l, config.r_max / g, g, 1.0)
         config = replace(config, bracket=(float(v.min()), upper))
     return config
+
+
+def _on_grid(potential: PotentialSpec, l: int, h: float, grid_points: int, scale: float):
+    """scale * V_eff(r_j) at r_j = j h (j = 1..grid_points), as an array.
+
+    numpy's overflow stays silent, as on the scan; ValueError when a value
+    is not finite, so no sweep runs on an inf or a NaN.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _v_eff(potential, l, np.arange(1, grid_points + 1) * h)
+        v *= scale
+    if not np.isfinite(v).all():
+        raise ValueError("V_eff on the grid is out of the float range the solver works in")
+    return v
 
 
 def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
@@ -205,8 +227,7 @@ def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
     import numpy as np
 
     h = r_max / grid_points
-    tv = _v_eff(potential, l, np.arange(1, grid_points + 1) * h)
-    tv *= h * h / 6.0 * _floats(potential)[0]
+    tv = _on_grid(potential, l, h, grid_points, h * h / 6.0 * _floats(potential)[0])
     return h, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
 
 
@@ -228,11 +249,11 @@ def _integrate(potential, state, energy, h, tv, s):
     r1 = (s + 1) * h
     try:
         p0, p1 = r1 ** (l + 1), (r1 + h) ** (l + 1)
+        u0, u = (p * (1.0 + u1c * x * x + u2c * x**4) for p, x in ((p0, r1), (p1, r1 + h)))
     except OverflowError:
-        p0 = 0.0
-    if p0 == 0.0:
+        p0 = u0 = math.inf
+    if p0 == 0.0 or not (math.isfinite(u0) and math.isfinite(u)):
         raise ValueError("start value r^(l+1) is out of the float range the solver works in")
-    u0, u = (p * (1.0 + u1c * x * x + u2c * x**4) for p, x in ((p0, r1), (p1, r1 + h)))
     t = tv[s + 1] - c
     y = (1.0 - t) * u
     d = y - (1.0 - (tv[s] - c)) * u0
@@ -325,26 +346,43 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
     return 0.5 * (lo + hi), nodes_lo
 
 
+def _seeded(potential, config: OracleConfig, grid_points: int, energy: float):
+    """_bisect_on_nodes from energy +- _SEED_WIDTH max(1, |E|), or from the
+    configured bracket when that does not straddle the level."""
+    seed = _SEED_WIDTH * max(1.0, abs(energy))
+    try:
+        return _bisect_on_nodes(potential, config, grid_points, (energy - seed, energy + seed))
+    except BracketingFailure:
+        return _bisect_on_nodes(potential, config, grid_points, config.bracket)
+
+
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
     """Eigenvalue with exactly n interior nodes and r^(l+1) origin behavior.
 
-    Solves on the configured grid and once more on a half-resolution grid;
-    the difference is a conservative error estimate for the returned
-    (fine-grid) energy.  The half-grid solve starts from the fine energy
-    +- _SEED_WIDTH max(1, |E|) and falls back to the configured bracket only
-    when that does not straddle its level.
+    Three solves, each seeded by the one before.  An eighth-size grid finds
+    the level from the configured bracket, to a loose tolerance of 1e-8
+    max(1, |upper end|).  The configured grid converges on it from that
+    energy +- _SEED_WIDTH max(1, |E|); its own node counts decide the level,
+    so an eighth-grid energy off by a level fails that bracket and the solve
+    widens to the configured one.  Any error on the eighth-size grid hands
+    the whole search to the configured grid, so errors are the configured
+    grid's own.  A half-resolution grid, seeded from the fine energy, solves
+    once more; the difference is a conservative error estimate for the
+    returned (fine-grid) energy.
     """
-    energy, node_count = _bisect_on_nodes(potential, config, config.grid_points, config.bracket)
-    seed = _SEED_WIDTH * max(1.0, abs(energy))
-    half = config.grid_points // 2
+    g, (_, upper) = config.grid_points, config.bracket
+    loose = replace(config, tolerance=max(config.tolerance, 1e-8 * max(1.0, abs(upper))))
     try:
-        coarse, _ = _bisect_on_nodes(potential, config, half, (energy - seed, energy + seed))
-    except BracketingFailure:
-        coarse, _ = _bisect_on_nodes(potential, config, half, config.bracket)
+        rough, _ = _bisect_on_nodes(potential, loose, g // 8, config.bracket)
+    except (OracleError, ValueError):
+        energy, node_count = _bisect_on_nodes(potential, config, g, config.bracket)
+    else:
+        energy, node_count = _seeded(potential, config, g, rough)
+    half, _ = _seeded(potential, config, g // 2, energy)
     return OracleResult(
         energy=energy,
         node_count=node_count,
-        residual_estimate=max(abs(energy - coarse), 2.0 * config.tolerance),
+        residual_estimate=max(abs(energy - half), 2.0 * config.tolerance),
         converged=node_count == config.target_state.n,
     )
 

@@ -11,6 +11,7 @@ is provided.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -46,18 +47,29 @@ def node_polynomial(state: QuantumState, d: tuple[Fraction, ...]) -> tuple[Fract
 
     Consecutive coefficients then satisfy the associated-Laguerre ratio
     p_{m-1}/p_m = m(m + l + 1/2)/(m - n - 1).
+
+    The recursion runs without division on a_m = 4^(n-m) (n-m)! p_m and
+    e_k = 2^(k-1) d_k, integers for the harmonic d_k:
+
+        a_m = -sum_{j=m+1}^{n} a_j e_{j-m+1} 2^(j-m-1) (n-m-1)!/(n-j)!.
     """
     n = state.n
     if len(d) < n + 2:
         raise ValueError(f"log-derivative order {len(d) - 1} < n+1 = {n + 1}")
-    p = [Fraction(0)] * (n + 1)
-    p[n] = Fraction(1)
+    e = [0] + [_integral(Fraction(d[k]) * 2 ** (k - 1)) for k in range(1, n + 2)]
+    a = [0] * n + [1]
     for m in range(n - 1, -1, -1):
-        acc = Fraction(0)
+        acc, c = 0, 1  # c = 2^(j-m-1) (n-m-1)!/(n-j)!
         for j in range(m + 1, n + 1):
-            acc += p[j] * d[j - m + 1]
-        p[m] = -acc / (2 * (n - m))
-    return tuple(p)
+            acc += a[j] * e[j - m + 1] * c
+            c *= 2 * (n - j)
+        a[m] = -acc
+    return tuple(Fraction(a[m], 4 ** (n - m) * math.factorial(n - m)) for m in range(n + 1))
+
+
+def _integral(x: Fraction):
+    """x as an int when it is one, so that the recursion runs on integers."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> float:

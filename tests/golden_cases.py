@@ -8,7 +8,9 @@ moved from `Fraction` cells to integers in oscillator units, and
 `validate_short_csv` and `validate_config` before `compute` and `validate`
 came to share one runner.  The four `validate_*` transcripts carry solver
 energies; they were re-recorded when the solver moved to the summed-form
-sweep, the Illinois stop and the energy-sized box.  `compute_pade_json`,
+sweep, the Illinois stop and the energy-sized box, and again when it came to
+find the level on an eighth-size grid and converge on the configured grid
+from that seed (each energy moved by less than the tolerance).  `compute_pade_json`,
 `validate_short_csv` and `error_pade` were re-recorded when `pade` moved to
 exact arithmetic, rounded once; the harmonic `[1/1]` case replaced the
 `[8/8]` quartic in `error_pade`, which exact arithmetic solves.  Rewrite the

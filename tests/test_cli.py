@@ -512,6 +512,33 @@ class TestValidate:
         assert result[:2] == (code, "")
         assert result[2].startswith(f"error: {message}") and result[2].count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "problem, solver, name",
+        [
+            # r^4 overflows on every point of the box's grid.
+            (["--v", "1"], ["--r-max", "1e100", "--bracket", "0", "5"], "V_eff on the grid"),
+            (["--v", "1"], ["--r-max", "1e100"], "V_eff on the grid"),
+            # V_eff is finite on the grid, but x^4 in the start series at
+            # r = 5e77 is not.
+            (["--mass", "1e-10", "--omega", "1e-10"], ["--r-max", "1e81", "--bracket", "0", "5"],
+             "start value r^(l+1)"),
+            # V_eff is 1e308 or more across the scan, wherever it is finite.
+            (["--mass", "1e-80", "--omega", "1e-80", "--v", "1"], ["--bracket", "0", "5"],
+             "V_eff on the scan"),
+        ],
+        ids=["grid-overflow-bracket", "grid-overflow", "start-series-overflow", "scan-above-floats"],
+    )
+    def test_solver_option_outside_the_float_range_is_config_error(
+        self, capsys, problem, solver, name
+    ):
+        # Apart from test_parameter_outside_the_float_range_is_config_error:
+        # `compute` refuses the solver flags, so it runs on the problem alone.
+        argv = ["validate", "--order", "2", "--grid-points", "2000", *problem, *solver]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: ConfigError: {name} is out of the float range the solver works in\n"
+        assert run_cli(capsys, ["compute", "--order", "2", *problem])[0] == 0
+
     def test_power_that_overflows_on_the_scan_is_silent(self, capsys):
         # v_25 r^52 overflows at the far end of the scan, where V_eff is inf
         # and the potential still confines: the solve succeeds, warning-free.

@@ -134,6 +134,69 @@ class TestGridRefinement:
         assert result.residual_estimate.hex() == "0x1.8b27d1b800000p-23"
 
 
+class TestLadder:
+    """The coarse grid finds the level, the configured grid converges on it."""
+
+    @pytest.mark.parametrize(
+        "problem, state",
+        [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
+        + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
+    )
+    def test_points_budget(self, monkeypatch, problem, state):
+        """The states of test_sweep_budget, counted in grid points swept: a
+        search on the configured grid from the configured bracket alone
+        sweeps 18-23 grid sizes."""
+        points = 0
+        sweep = oracle._integrate
+
+        def counted(*args):
+            nonlocal points
+            points += len(args[4])
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        potential = make_potential(*problem)
+        config = default_config(potential, make_state(*state))
+        solve_radial(potential, config)
+        assert points <= 12 * config.grid_points
+
+    def test_coarse_failure_solves_from_the_configured_bracket(self, monkeypatch):
+        potential = make_potential(1, 1, [Fraction(1, 10)])
+        config = default_config(potential, make_state(1, 1), grid_points=4000)
+        bisect = oracle._bisect_on_nodes
+
+        def coarse_fails(potential, config, grid_points, bracket):
+            if grid_points == config.grid_points // 8:
+                raise BracketingFailure("no level on the coarse grid")
+            return bisect(potential, config, grid_points, bracket)
+
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_fails)
+        result = solve_radial(potential, config)
+        assert (result.energy, result.node_count) == bisect(potential, config, 4000, config.bracket)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_coarse_neighbour_level_is_not_taken(self, monkeypatch, shift):
+        # The fine grid's node counts refuse the neighbour's seed bracket.
+        potential = make_potential(1, 1, [Fraction(1, 10)])
+        state = make_state(1, 1)
+        expected = solve_radial(potential, default_config(potential, state, grid_points=4000))
+        neighbour = make_state(1 + shift, 1)
+        wrong = solve_radial(potential, default_config(potential, neighbour, grid_points=4000))
+        config = default_config(potential, state, grid_points=4000)
+        bisect = oracle._bisect_on_nodes
+
+        def coarse_neighbour(potential, config, grid_points, bracket):
+            if grid_points == config.grid_points // 8:
+                return wrong.energy, neighbour.n
+            return bisect(potential, config, grid_points, bracket)
+
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_neighbour)
+        result = solve_radial(potential, config)
+        assert result.node_count == 1 and result.converged
+        assert abs(result.energy - expected.energy) <= result.residual_estimate
+        assert result.energy == bisect(potential, config, 4000, config.bracket)[0]
+
+
 class TestQuarticWeakCoupling:
     def test_ground_state_energy(self):
         pot = make_potential(1, 1, [Fraction(1, 100)])

@@ -7,10 +7,14 @@ function of E that jumps by one exactly at each box eigenvalue, where the
 boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
 bracket holds only that jump isolates the level with n radial nodes without
 ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
-count deciding which end moves, then converge on it.  An eighth-size grid
-finds the level, the configured grid converges on it from that energy, and a
-half-size grid gives the error estimate.  Everything here is floating point;
-it exists to validate the exact series from the outside.
+count deciding which end moves, then converge on it.  On the default grid
+and finer, grids of 1/16, 1/8 and 1/4 the configured size find the level one
+from the other, and Richardson extrapolation of Numerov's h^4 error gives the
+energy and its error estimate; on coarser grids, and whenever the h^4 law
+does not show, an eighth-size grid finds the level, the configured grid
+converges on it from that energy, and a half-size grid gives the error
+estimate.  Everything here is floating point; it exists to validate the
+exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module, as `anharm` and `anharm.cli` do, does not load it.
 """
@@ -33,6 +37,11 @@ _LN2 = math.log(2.0)
 _DECAY_MARGIN = 20.0
 # Half width, relative to max(1, |E|), of a seeded solve's first bracket.
 _SEED_WIDTH = 1e-7
+# The window that (E_(g/16) - E_(g/8)) / (E_(g/8) - E_(g/4)), 16 for an exact
+# h^4 law, must lie in before the ladder's extrapolated level is taken.  On
+# the default grid the ratio of 110 solves (11 potentials, the negative well
+# and v_1 = 1000 among them, 10 states each) lay in 15.74-16.22.
+_RATIO_WINDOW = (15.0, 17.0)
 
 
 class OracleError(Exception):
@@ -149,7 +158,9 @@ def default_config(
     Raises BracketingFailure for potentials that do not confine within the
     scan, and ValueError for what _floats refuses, for a scan that sizes box
     or bracket with a NaN V_eff, or a V_eff above every finite upper end
-    (2 V_eff finite nowhere), and for a V_eff on the grid that is not finite.
+    (2 V_eff finite nowhere), for a V_eff on the grid that is not finite, and,
+    with no bracket given, for an r_max whose grid lies wholly at or above the
+    upper end.
     """
     import numpy as np
 
@@ -198,7 +209,13 @@ def default_config(
         # The lower end moves from the scan's minimum of V_eff to the grid's.
         g = config.grid_points
         v = _on_grid(potential, state.l, config.r_max / g, g, 1.0)
-        config = replace(config, bracket=(float(v.min()), upper))
+        lowest = float(v.min())
+        if lowest >= upper:
+            raise ValueError(
+                f"r_max {config.r_max} leaves no grid point below the upper bracket "
+                f"energy {upper}: the lowest V_eff on the grid is {lowest}"
+            )
+        config = replace(config, bracket=(lowest, upper))
     return config
 
 
@@ -356,12 +373,29 @@ def _seeded(potential, config: OracleConfig, grid_points: int, energy: float):
         return _bisect_on_nodes(potential, config, grid_points, config.bracket)
 
 
+def _richardson(coarse: float, fine: float) -> float:
+    """The level with the h^4 error of the energies on grids 2h and h removed."""
+    return fine + (fine - coarse) / 15.0
+
+
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
     """Eigenvalue with exactly n interior nodes and r^(l+1) origin behavior.
 
-    Three solves, each seeded by the one before.  An eighth-size grid finds
-    the level from the configured bracket, to a loose tolerance of 1e-8
-    max(1, |upper end|).  The configured grid converges on it from that
+    When g // 16 >= 1000 (g = grid_points, the finest grid a solve may use),
+    a ladder of three solves runs first: a 1/16-size grid finds the level
+    from the configured bracket at the configured tolerance, and the 1/8-
+    and 1/4-size grids, each seeded by the one below, converge on it.
+    Numerov's energy error is O(h^4), so R(a, b) = E_b + (E_b - E_a) / 15
+    removes it from the energies on grids a and twice as fine.  The solve
+    returns R(g/8, g/4), with the estimate |R(g/8, g/4) - R(g/16, g/8)|
+    (at least twice the tolerance), when the 1/4-size grid counts n nodes
+    and (E_16 - E_8) / (E_8 - E_4) lies in _RATIO_WINDOW around 16, the h^4
+    law's ratio.  Otherwise, also when any rung raises, the path that
+    coarser grids take runs as if the ladder had not, so errors are its own.
+
+    That path is three solves, each seeded by the one before.  An eighth-size
+    grid finds the level from the configured bracket, to a loose tolerance of
+    1e-8 max(1, |upper end|).  The configured grid converges on it from that
     energy +- _SEED_WIDTH max(1, |E|); its own node counts decide the level,
     so an eighth-grid energy off by a level fails that bracket and the solve
     widens to the configured one.  Any error on the eighth-size grid hands
@@ -371,6 +405,27 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     returned (fine-grid) energy.
     """
     g, (_, upper) = config.grid_points, config.bracket
+    if g // 16 >= 1000:
+        try:
+            e16, _ = _bisect_on_nodes(potential, config, g // 16, config.bracket)
+            e8, _ = _seeded(potential, config, g // 8, e16)
+            e4, node_count = _seeded(potential, config, g // 4, e8)
+        except (OracleError, ValueError):
+            pass
+        else:
+            low, high = _RATIO_WINDOW
+            if node_count == config.target_state.n and e8 != e4 and (
+                low <= (e16 - e8) / (e8 - e4) <= high
+            ):
+                energy = _richardson(e8, e4)
+                return OracleResult(
+                    energy=energy,
+                    node_count=node_count,
+                    residual_estimate=max(
+                        abs(energy - _richardson(e16, e8)), 2.0 * config.tolerance
+                    ),
+                    converged=True,
+                )
     loose = replace(config, tolerance=max(config.tolerance, 1e-8 * max(1.0, abs(upper))))
     try:
         rough, _ = _bisect_on_nodes(potential, loose, g // 8, config.bracket)

@@ -21,7 +21,9 @@ files only for a change that is meant to alter output:
 CLI cases run in-process through `anharm.cli.main`, which is what
 `python -m anharm` calls.  Each transcript holds the argv, the config file
 when the case has one, the exit code, stdout and stderr.  The solver cases use
-a 4000-point grid to stay cheap.  The help texts are rendered at 80 columns;
+a 4000-point grid to stay cheap; it lies below the 16000 points from which the
+solver extrapolates its 1/16-, 1/8- and 1/4-size grids, so that change did not
+move them.  The help texts are rendered at 80 columns;
 `help_validate.txt` was recorded before the defaults moved into the option
 table, `help_compute.txt` after `compute` dropped the solver flags.
 """

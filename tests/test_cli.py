@@ -539,6 +539,17 @@ class TestValidate:
         assert err == f"error: ConfigError: {name} is out of the float range the solver works in\n"
         assert run_cli(capsys, ["compute", "--order", "2", *problem])[0] == 0
 
+    def test_box_beyond_the_upper_turning_point_names_r_max(self, capsys):
+        # The grid's lowest V_eff, 1.25e193 at r = 5e96, lies above the
+        # default upper bracket end 14.5: the message is about --r-max, not
+        # about a bracket the user never gave.
+        argv = ["validate", "--order", "2", "--grid-points", "2000", "--r-max", "1e100"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "r_max" in err or "r-max" in err
+        assert "bracket must satisfy" not in err
+
     def test_power_that_overflows_on_the_scan_is_silent(self, capsys):
         # v_25 r^52 overflows at the far end of the scan, where V_eff is inf
         # and the potential still confines: the solve succeeds, warning-free.

@@ -197,6 +197,90 @@ class TestLadder:
         assert result.energy == bisect(potential, config, 4000, config.bracket)[0]
 
 
+class TestRichardsonLadder:
+    """On the default grid, R(g/8, g/4) from the 1/16-, 1/8- and 1/4-size grids."""
+
+    HARMONIC_STATES = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (3, 0)]
+    WEAK = make_potential(1, 1, [Fraction(1, 100)])
+
+    @pytest.mark.parametrize("state", HARMONIC_STATES)
+    def test_harmonic_exact_levels(self, state):
+        result = solve_radial(HARMONIC, default_config(HARMONIC, make_state(*state)))
+        exact = 2 * state[0] + state[1] + 1.5
+        assert result.node_count == state[0]
+        assert abs(result.energy - exact) <= result.residual_estimate <= 1e-11
+
+    @pytest.mark.parametrize("state", [(2, 1), (3, 0)])
+    def test_wrong_sign_extrapolation_fails(self, monkeypatch, state):
+        """The companion of test_harmonic_exact_levels: with the sign of the
+        h^4 correction flipped the level is off by 1.4e-10 and 3.4e-10."""
+        monkeypatch.setattr(oracle, "_richardson", lambda coarse, fine: fine - (fine - coarse) / 15)
+        result = solve_radial(HARMONIC, default_config(HARMONIC, make_state(*state)))
+        exact = 2 * state[0] + state[1] + 1.5
+        assert not abs(result.energy - exact) <= result.residual_estimate <= 1e-11
+
+    @pytest.mark.parametrize(
+        "state", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 0), (0, 10), (5, 2)]
+    )
+    def test_weak_coupling_reference(self, state):
+        """At v_1 = 1/100 the exact [16/16] Pade level of E_1..E_34 is a
+        float-precision reference: [17/16] rounds to the same float."""
+        _, series = compute_series(self.WEAK, make_state(*state), 34)
+        reference = pade(series, 16, 16)
+        assert pade(series, 17, 16) == reference
+        result = solve_radial(self.WEAK, default_config(self.WEAK, make_state(*state)))
+        assert abs(result.energy - reference) <= result.residual_estimate <= 1e-11
+
+    @pytest.mark.parametrize("fallback", ["ratio outside the window", "rung error"])
+    @pytest.mark.parametrize(
+        "state, energy, residual",
+        [((0, 0), "0x1.89203edd714dcp+0", "0x1.19799812dea11p-39"),
+         ((1, 2), "0x1.781788bc2929ap+2", "0x1.19799812dea11p-39")],
+    )
+    def test_fallback_is_the_eighth_fine_half_path(
+        self, monkeypatch, fallback, state, energy, residual
+    ):
+        """Pinned bit for bit: the eighth-size, configured and half-size grid
+        solve that the default grid ran before the ladder."""
+        if fallback == "rung error":
+            seeded = oracle._seeded
+
+            def quarter_fails(potential, config, grid_points, energy):
+                if grid_points == config.grid_points // 4:
+                    raise NotConverged("no level on the quarter-size grid")
+                return seeded(potential, config, grid_points, energy)
+
+            monkeypatch.setattr(oracle, "_seeded", quarter_fails)
+        else:
+            monkeypatch.setattr(oracle, "_RATIO_WINDOW", (1.0, 0.0))
+        result = solve_radial(self.WEAK, default_config(self.WEAK, make_state(*state)))
+        assert result.energy.hex() == energy
+        assert result.residual_estimate.hex() == residual
+        assert result.node_count == state[0]
+
+    @pytest.mark.parametrize(
+        "problem, state",
+        [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
+        + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
+    )
+    def test_points_budget(self, monkeypatch, problem, state):
+        """The states of test_sweep_budget: the eighth, fine and half-size
+        grids swept 7.9-10.4 grid sizes, the ladder sweeps 2.5-2.9."""
+        points = 0
+        sweep = oracle._integrate
+
+        def counted(*args):
+            nonlocal points
+            points += len(args[4])
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        potential = make_potential(*problem)
+        config = default_config(potential, make_state(*state))
+        solve_radial(potential, config)
+        assert points <= 4 * config.grid_points
+
+
 class TestQuarticWeakCoupling:
     def test_ground_state_energy(self):
         pot = make_potential(1, 1, [Fraction(1, 100)])

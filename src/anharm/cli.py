@@ -19,7 +19,6 @@ beyond the cap and an exactly singular Pade system included), 4 solver error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -227,7 +226,7 @@ def _run(args, potential, state, validate: bool) -> str:
             "residual": result.residual_estimate,
             "converged": result.converged,
         }
-        doc["comparison"] = dataclasses.asdict(record)
+        doc["comparison"] = record._asdict()
         columns.update({
             "abs_deviation": record.deviations,
             "rel_deviation": record.relative_deviations,

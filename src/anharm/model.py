@@ -3,11 +3,13 @@
 Everything here is exact rational arithmetic (`fractions.Fraction`); floats
 enter only in the resummation and radial-solver layers.  All types are
 immutable after construction and safe to share across threads.
+`PotentialSpec` and `QuantumState` are named tuples; their constructors,
+and so `_replace`, validate.  `EnergySeries` is the tuple of corrections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -49,31 +51,28 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(namedtuple("PotentialSpec", "mass omega anharmonic")):
     """Confining central potential  V(r) = m w^2 r^2 / 2 + sum_i v_i r^(2i+2).
 
-    `anharmonic[i-1]` is v_i, the coefficient of r^(2i+2).  The list may be
-    empty (pure harmonic) and entries may be zero or negative; the formal
-    series is defined regardless, physical confinement is the caller's
-    concern.  mass and omega must be positive: the recursion divides by
-    m*omega.
+    Every value is a Fraction; `anharmonic[i-1]` is v_i, the coefficient of
+    r^(2i+2).  The tuple may be empty (pure harmonic) and entries may be zero
+    or negative; the formal series is defined regardless, physical
+    confinement is the caller's concern.  mass and omega must be positive:
+    the recursion divides by m*omega.
     """
 
-    mass: Fraction
-    omega: Fraction
-    anharmonic: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mass", parse_rational(self.mass))
-        object.__setattr__(self, "omega", parse_rational(self.omega))
-        object.__setattr__(
-            self, "anharmonic", tuple(parse_rational(v) for v in self.anharmonic)
-        )
+    def __new__(cls, mass, omega, anharmonic=()):
+        mass, omega = parse_rational(mass), parse_rational(omega)
+        self = super().__new__(cls, mass, omega, tuple(map(parse_rational, anharmonic)))
         if self.mass <= 0:
             raise NonPositiveMass(f"mass must be positive, got {self.mass}")
         if self.omega <= 0:
             raise NonPositiveFrequency(f"omega must be positive, got {self.omega}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def coefficient(self, i: int) -> Fraction:
         """v_i of the r^(2i+2) term; exactly zero beyond the supplied list."""
@@ -88,16 +87,17 @@ class PotentialSpec:
         return all(v == 0 for v in self.anharmonic)
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(namedtuple("QuantumState", "n l")):
     """Radial quantum number n and orbital quantum number l, both >= 0."""
 
-    n: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.l < 0:
-            raise NegativeQuantumNumber(f"need n >= 0 and l >= 0, got ({self.n}, {self.l})")
+    def __new__(cls, n, l):
+        if n < 0 or l < 0:
+            raise NegativeQuantumNumber(f"need n >= 0 and l >= 0, got ({n}, {l})")
+        return super().__new__(cls, n, l)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def principal(self) -> int:
@@ -110,35 +110,33 @@ class QuantumState:
         return self.l * (self.l + 1)
 
 
-@dataclass(frozen=True)
-class EnergySeries:
+class EnergySeries(tuple):
     """Energy corrections E_1..E_K; corrections[k-1] multiplies hbar^k.
 
     There is no E_0 entry: the classical energy at the well bottom is zero,
-    so the expansion starts at first order.
+    so the expansion starts at first order.  The series is the tuple
+    (E_1, ..., E_K) of Fractions; `corrections` gives it as a plain tuple.
     """
 
-    corrections: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "corrections", tuple(Fraction(c) for c in self.corrections)
-        )
-        if not self.corrections:
+    def __new__(cls, corrections):
+        self = super().__new__(cls, map(Fraction, corrections))
+        if not self:
             raise ValueError("energy series must contain at least E_1")
+        return self
 
-    @property
-    def order(self) -> int:
-        return len(self.corrections)
+    corrections = property(tuple)
+    order = property(len)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(corrections={tuple(self)!r})"
 
     def correction(self, k: int) -> Fraction:
         """E_k for 1 <= k <= order."""
         if not 1 <= k <= self.order:
             raise IndexError(f"order {k} outside 1..{self.order}")
-        return self.corrections[k - 1]
-
-    def __iter__(self):
-        return iter(self.corrections)
+        return self[k - 1]
 
 
 def make_potential(mass, omega, anharmonic=()) -> PotentialSpec:

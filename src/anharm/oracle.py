@@ -10,11 +10,11 @@ ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
 count deciding which end moves, then converge on it.  On the default grid
 and finer, grids of 1/16, 1/8 and 1/4 the configured size find the level one
 from the other, and Richardson extrapolation of Numerov's h^4 error gives the
-energy and its error estimate; on coarser grids, and whenever the h^4 law
-does not show, an eighth-size grid finds the level, the configured grid
-converges on it from that energy, and a half-size grid gives the error
-estimate.  Everything here is floating point; it exists to validate the
-exact series from the outside.
+energy and its error estimate; on coarser grids, and whenever neither the
+h^4 law shows nor the energies agree to the tolerance, an eighth-size grid
+finds the level, the configured grid converges on it from that energy, and
+a half-size grid gives the error estimate.  Everything here is floating
+point; it exists to validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module, as `anharm` and `anharm.cli` do, does not load it.
 """
@@ -22,7 +22,7 @@ module, as `anharm` and `anharm.cli` do, does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import islice
 
 from .model import PotentialSpec, QuantumState
@@ -35,7 +35,7 @@ _LN2 = math.log(2.0)
 # WKB decay, integral of sqrt(2m (V_eff - E)) dr, that the default box adds
 # beyond the outer turning point of the upper bracket energy.
 _DECAY_MARGIN = 20.0
-# Half width, relative to max(1, |E|), of a seeded solve's first bracket.
+# Half width, relative to max(omega, |E|), of a seeded solve's first bracket.
 _SEED_WIDTH = 1e-7
 # The window that (E_(g/16) - E_(g/8)) / (E_(g/8) - E_(g/4)), 16 for an exact
 # h^4 law, must lie in before the ladder's extrapolated level is taken.  On
@@ -61,41 +61,34 @@ def _check_bracket(lo: float, hi: float) -> None:
         raise ValueError(f"bracket must satisfy lo < hi, both finite, got {lo}, {hi}")
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    r_max: float
-    grid_points: int
-    target_state: QuantumState
-    bracket: tuple[float, float]
-    tolerance: float = 1e-12
+class OracleConfig(namedtuple("OracleConfig", "r_max grid_points target_state bracket tolerance")):
+    """Box, grid, state, (lo, hi) energy bracket and tolerance of one solve."""
 
-    def __post_init__(self):
-        if not 0 < self.r_max < math.inf:
+    __slots__ = ()
+
+    def __new__(cls, r_max, grid_points, target_state, bracket, tolerance=1e-12):
+        if not 0 < r_max < math.inf:
             raise ValueError("r_max must be positive and finite")
-        if self.grid_points < 1000:
+        if grid_points < 1000:
             raise ValueError("need at least 1000 grid points")
-        if not 0 < self.tolerance < math.inf:
+        if not 0 < tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        _check_bracket(*self.bracket)
+        _check_bracket(*bracket)
+        return super().__new__(cls, r_max, grid_points, target_state, bracket, tolerance)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    energy: float
-    node_count: int
-    residual_estimate: float
-    converged: bool
+OracleResult = namedtuple("OracleResult", "energy node_count residual_estimate converged")
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(namedtuple(
+    "ComparisonRecord",
+    "deviations relative_deviations pade_deviation pade_relative_deviation best_order",
+)):
     """Deviation of each partial sum (and the Pade value) from the solver energy."""
 
-    deviations: tuple[float, ...]
-    relative_deviations: tuple[float, ...]
-    pade_deviation: float | None
-    pade_relative_deviation: float | None
-    best_order: int
+    __slots__ = ()
 
 
 def _floats(potential: PotentialSpec):
@@ -215,7 +208,7 @@ def default_config(
                 f"r_max {config.r_max} leaves no grid point below the upper bracket "
                 f"energy {upper}: the lowest V_eff on the grid is {lowest}"
             )
-        config = replace(config, bracket=(lowest, upper))
+        config = config._replace(bracket=(lowest, upper))
     return config
 
 
@@ -364,9 +357,9 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
 
 
 def _seeded(potential, config: OracleConfig, grid_points: int, energy: float):
-    """_bisect_on_nodes from energy +- _SEED_WIDTH max(1, |E|), or from the
-    configured bracket when that does not straddle the level."""
-    seed = _SEED_WIDTH * max(1.0, abs(energy))
+    """_bisect_on_nodes from energy +- _SEED_WIDTH max(omega, |E|) or +- the
+    tolerance, or from the configured bracket when that misses the level."""
+    seed = max(_SEED_WIDTH * max(_floats(potential)[1], abs(energy)), config.tolerance)
     try:
         return _bisect_on_nodes(potential, config, grid_points, (energy - seed, energy + seed))
     except BracketingFailure:
@@ -390,13 +383,15 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     returns R(g/8, g/4), with the estimate |R(g/8, g/4) - R(g/16, g/8)|
     (at least twice the tolerance), when the 1/4-size grid counts n nodes
     and (E_16 - E_8) / (E_8 - E_4) lies in _RATIO_WINDOW around 16, the h^4
-    law's ratio.  Otherwise, also when any rung raises, the path that
-    coarser grids take runs as if the ladder had not, so errors are its own.
+    law's ratio, or the three lie within twice the tolerance (the ratio is
+    then noise; E_4's grid error, 1/256 of E_16's, lies below it).
+    Otherwise, also when any rung raises, the path that coarser grids take
+    runs as if the ladder had not, so errors are its own.
 
     That path is three solves, each seeded by the one before.  An eighth-size
     grid finds the level from the configured bracket, to a loose tolerance of
-    1e-8 max(1, |upper end|).  The configured grid converges on it from that
-    energy +- _SEED_WIDTH max(1, |E|); its own node counts decide the level,
+    1e-8 max(omega, |upper end|).  The configured grid converges on it from
+    _seeded's bracket around that energy; its own node counts decide the level,
     so an eighth-grid energy off by a level fails that bracket and the solve
     widens to the configured one.  Any error on the eighth-size grid hands
     the whole search to the configured grid, so errors are the configured
@@ -404,7 +399,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     once more; the difference is a conservative error estimate for the
     returned (fine-grid) energy.
     """
-    g, (_, upper) = config.grid_points, config.bracket
+    g, (_, upper), omega = config.grid_points, config.bracket, _floats(potential)[1]
     if g // 16 >= 1000:
         try:
             e16, _ = _bisect_on_nodes(potential, config, g // 16, config.bracket)
@@ -414,8 +409,9 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             pass
         else:
             low, high = _RATIO_WINDOW
-            if node_count == config.target_state.n and e8 != e4 and (
-                low <= (e16 - e8) / (e8 - e4) <= high
+            if node_count == config.target_state.n and (
+                max(e16, e8, e4) - min(e16, e8, e4) <= 2.0 * config.tolerance
+                or e8 != e4 and low <= (e16 - e8) / (e8 - e4) <= high
             ):
                 energy = _richardson(e8, e4)
                 return OracleResult(
@@ -426,7 +422,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
                     ),
                     converged=True,
                 )
-    loose = replace(config, tolerance=max(config.tolerance, 1e-8 * max(1.0, abs(upper))))
+    loose = config._replace(tolerance=max(config.tolerance, 1e-8 * max(omega, abs(upper))))
     try:
         rough, _ = _bisect_on_nodes(potential, loose, g // 8, config.bracket)
     except (OracleError, ValueError):

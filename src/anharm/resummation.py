@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import EnergySeries
@@ -25,17 +25,15 @@ class SingularPadeSystem(ResummationError):
     """Denominator linear system exactly singular, or Q = 0 at the coupling."""
 
 
-@dataclass(frozen=True)
-class SummationReport:
+class SummationReport(namedtuple("SummationReport", "partial_sums ratios growth_flag")):
     """Convergence bookkeeping for one correction series.
 
-    ratios[k-1] is |E_{k+1}/E_k| (None where E_k = 0); growth_flag marks a
-    strictly increasing ratio tail, the divergence signature.
+    partial_sums and ratios are tuples of floats: ratios[k-1] is
+    |E_{k+1}/E_k| (None where E_k = 0).  growth_flag marks a strictly
+    increasing ratio tail, the divergence signature.
     """
 
-    partial_sums: tuple[float, ...]
-    ratios: tuple[float | None, ...]
-    growth_flag: bool
+    __slots__ = ()
 
 
 def _to_float(value: Fraction) -> float:

@@ -13,7 +13,7 @@ import anharm.wavefunction
 from anharm.cli import _OPTIONS, _build_parser, main
 from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
-from golden_cases import GOLDEN_DIR
+from golden_cases import CLI_CASES, GOLDEN_DIR
 
 QUARTIC_ARGS = [
     "compute", "--mass", "1", "--omega", "1", "--v", "1/100",
@@ -716,3 +716,47 @@ def test_commands_without_the_solver_run_without_numpy():
     assert all(f"{name}.txt" in result["rendered"] for name in names)
     for rel, text in result["rendered"].items():
         assert text.encode() == (GOLDEN_DIR / rel).read_bytes(), rel
+
+
+def _fresh_python(*args):
+    """A new interpreter on this checkout's `src`, the tests' directory on its path."""
+    src = str(Path(anharm.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+
+
+def test_cold_start_needs_no_dataclasses():
+    """Start-up loads neither `dataclasses` nor `inspect`, and with
+    `dataclasses` unimportable compute, check-harmonic and validate render
+    their golden transcripts byte for byte.  `golden_cases` cannot run in that
+    interpreter (its `unittest` import loads `dataclasses`), so the argv go
+    in and the transcripts are checked here."""
+    loaded = "import anharm.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = _fresh_python("-S", "-c", loaded)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    names = ["compute_pade_json", "check_harmonic", "validate_short_csv"]
+    script = f"""
+        import contextlib, io, json, sys
+        sys.modules["dataclasses"] = None
+        from anharm.cli import main
+
+        runs = {{}}
+        for name, argv in {({name: CLI_CASES[name] for name in names})!r}.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            runs[name] = [code, stdout.getvalue(), stderr.getvalue()]
+        print(json.dumps(runs))
+    """
+    proc = _fresh_python("-c", textwrap.dedent(script))
+    assert proc.returncode == 0, proc.stderr
+    for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
+        transcript = (
+            f"$ anharm {' '.join(CLI_CASES[name])}\nexit {code}\n"
+            f"--- stdout\n{stdout}--- stderr\n{stderr}"
+        )
+        assert transcript.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes(), name

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from anharm.model import (
     make_state,
     parse_rational,
 )
+from anharm.oracle import ComparisonRecord, OracleConfig, OracleResult
+from anharm.resummation import SummationReport
 
 
 class TestPotential:
@@ -53,9 +56,42 @@ class TestPotential:
             make_potential(1.5, 1)
 
     def test_immutable(self):
-        pot = make_potential(1, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pot.mass = Fraction(2)
+        """Every public type refuses to assign or delete a field."""
+        state = make_state(0, 0)
+        instances = [
+            (make_potential(1, 1), "mass"),
+            (state, "n"),
+            (EnergySeries([1]), "corrections"),
+            (SummationReport((1.0,), (), False), "growth_flag"),
+            (OracleConfig(8.0, 2000, state, (0.0, 10.0)), "tolerance"),
+            (OracleResult(1.5, 0, 1e-12, True), "energy"),
+            (ComparisonRecord((0.0,), (0.0,), None, None, 1), "best_order"),
+        ]
+        for instance, field in instances:
+            before = getattr(instance, field)
+            with pytest.raises(AttributeError):
+                setattr(instance, field, Fraction(2))
+            with pytest.raises(AttributeError):
+                delattr(instance, field)
+            assert getattr(instance, field) == before
+
+    def test_replace_validates(self):
+        pot = make_potential(1, 1, ["1/100"])
+        assert pot._replace(mass="3/2") == make_potential("3/2", 1, ["1/100"])
+        assert pot._replace(mass="3/2").mass == Fraction(3, 2)
+        with pytest.raises(NonPositiveMass):
+            pot._replace(mass=0)
+        with pytest.raises(ProblemSpecError):
+            pot._replace(anharmonic=[0.5])
+        with pytest.raises(NegativeQuantumNumber):
+            make_state(1, 2)._replace(l=-1)
+
+    def test_repr_names_the_fields(self):
+        assert repr(make_potential(2, 1, [Fraction(1, 2)])) == (
+            "PotentialSpec(mass=Fraction(2, 1), omega=Fraction(1, 1), "
+            "anharmonic=(Fraction(1, 2),))"
+        )
+        assert repr(make_state(1, 2)) == "QuantumState(n=1, l=2)"
 
 
 class TestQuantumState:
@@ -96,6 +132,15 @@ class TestEnergySeries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EnergySeries(())
+
+    def test_value_semantics(self):
+        series = EnergySeries([1, "1/2"])
+        same = EnergySeries((Fraction(1), Fraction(1, 2)))
+        assert list(series) == [Fraction(1), Fraction(1, 2)] == list(series.corrections)
+        assert len(series) == series.order and series[1] == series.correction(2)
+        assert series == same and hash(series) == hash(same) and series != EnergySeries([1])
+        assert repr(series) == "EnergySeries(corrections=(Fraction(1, 1), Fraction(1, 2)))"
+        assert copy.copy(series) == series == pickle.loads(pickle.dumps(series))
 
 
 class TestRationalSerialization:

@@ -39,6 +39,19 @@ REFERENCE_LEVELS = [
     ((1, 1, [Fraction(1000)]), (0, 0), 23.97220605638314),
 ]
 
+# One invalid OracleConfig field each.
+INVALID_CONFIG_FIELDS = [
+    {"r_max": 0.0},
+    {"r_max": math.inf},
+    {"grid_points": 500},
+    {"tolerance": 0.0},
+    {"tolerance": math.nan},
+    {"tolerance": math.inf},
+    {"bracket": (3.0, 1.0)},
+    {"bracket": (0.0, math.inf)},
+    {"bracket": (-math.inf, 1.0)},
+]
+
 
 def _solve(potential, n, l, grid_points=5000, tolerance=1e-11):
     state = make_state(n, l)
@@ -280,6 +293,30 @@ class TestRichardsonLadder:
         solve_radial(potential, config)
         assert points <= 4 * config.grid_points
 
+    @pytest.mark.parametrize("state", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
+    def test_unit_length_oscillator(self, monkeypatch, state):
+        """m = 10^6, omega = 10^-6, v_1 = 10^-8 is v_1 = 1/100 in oscillator
+        units, at energies ~1e-6.  The three rungs agree to within the 1e-12
+        tolerance, so their ratio is noise and the ladder's level is taken;
+        a fallback after the ladder would sweep 19-20 grid sizes."""
+        points = 0
+        sweep = oracle._integrate
+
+        def counted(*args):
+            nonlocal points
+            points += len(args[4])
+            return sweep(*args)
+
+        _, series = compute_series(self.WEAK, make_state(*state), 34)
+        reference = 1e-6 * pade(series, 16, 16)
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        potential = make_potential(10**6, Fraction(1, 10**6), [Fraction(1, 10**8)])
+        config = default_config(potential, make_state(*state))
+        result = solve_radial(potential, config)
+        assert points <= 4 * config.grid_points
+        assert result.node_count == state[0] and result.converged
+        assert abs(result.energy - reference) <= result.residual_estimate
+
 
 class TestQuarticWeakCoupling:
     def test_ground_state_energy(self):
@@ -427,20 +464,7 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="start value r\\^\\(l\\+1\\) is out of the float"):
             solve_radial(potential, config)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"r_max": 0.0},
-            {"r_max": math.inf},
-            {"grid_points": 500},
-            {"tolerance": 0.0},
-            {"tolerance": math.nan},
-            {"tolerance": math.inf},
-            {"bracket": (3.0, 1.0)},
-            {"bracket": (0.0, math.inf)},
-            {"bracket": (-math.inf, 1.0)},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_CONFIG_FIELDS)
     def test_config_validation(self, kwargs):
         base = {
             "r_max": 8.0,
@@ -452,6 +476,12 @@ class TestFailureModes:
         base.update(kwargs)
         with pytest.raises(ValueError):
             OracleConfig(**base)
+
+    @pytest.mark.parametrize("kwargs", INVALID_CONFIG_FIELDS)
+    def test_replaced_field_is_validated(self, kwargs):
+        config = default_config(HARMONIC, make_state(0, 0), grid_points=2000)
+        with pytest.raises(ValueError):
+            config._replace(**kwargs)
 
 
 class TestComparisonRecord:

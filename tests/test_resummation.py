@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -172,7 +171,7 @@ class TestDivergenceDiagnostics:
             assert report.growth_flag is False
 
     def test_report_has_no_pade_degrees(self):
-        names = [field.name for field in dataclasses.fields(SummationReport)]
+        names = list(SummationReport._fields)
         assert names == [
             "partial_sums", "ratios", "growth_flag",
         ]

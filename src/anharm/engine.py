@@ -28,13 +28,16 @@ row 0 included.  Every product N[j][p] N[k-j][i-p] of a convolution then
 sits at exponent k+i, so the fill is gcd-free big-integer dot products; the
 only division, by 2, is exact and checked.
 
-Two zero rules skip what is provably zero.  A convolution skips a pair of
-rows whose last nonzero columns cannot reach the cell.  In a fill without a
-momentum term, that is every harmonic potential and couplings that are zero
-up to K-1, row k ends at the last column that row k-1 or a pair of rows
-reaches, and the rest of the row is zeros.  One `Fraction` is built per
-energy, E_k = omega E~_k(u) / D^(k-1), and per nonzero entry of a row read;
-every zero entry is one shared Fraction(0).
+Zeros are skipped by position.  Row j is nonzero only in columns
+first[j]..last[j], read from the row itself, and a convolution multiplies
+only entries inside those spans.  This pays on nodeless states: for n = 0,
+C_k (k >= 2) has no pole at the origin, so row k starts at column k and a
+ground-state table is an upper triangle.  In a fill without a momentum term,
+that is every harmonic potential and couplings that are zero up to K-1,
+row k ends at the last column that row k-1 or a pair of rows reaches, and
+the rest of the row is zeros.  One `Fraction` is built per energy,
+E_k = omega E~_k(u) / D^(k-1), and per nonzero entry of a row read; every
+zero entry is one shared Fraction(0).
 """
 
 from __future__ import annotations
@@ -148,22 +151,38 @@ class CoefficientTable:
         return self._rows[k]
 
 
-def _convolution(rows: list, last: list, k: int, i: int, lo: int) -> int:
-    """sum_{j=lo}^{k-lo} sum_{p=0}^{i} N[j][p] N[k-j][i-p], at exponent k+i.
+def _convolution(
+    spans: list, backs: list, first: list, last: list, k: int, width: int
+) -> tuple[list, int]:
+    """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for i < width, and the reach.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
-    value), and skips a pair of rows whose last nonzero columns, last[j] and
-    last[k-j], cannot reach column i.
+    value).  spans[j] holds row j's columns first[j]..last[j] and backs[j]
+    the same reversed, so at column i one slice lines up every p with
+    first[j] <= p <= last[j] and first[k-j] <= i-p <= last[k-j]; `map` stops
+    at the shorter operand.  The reach is the last column that a pair of
+    nonzero rows reaches, -1 when none does.
     """
-    acc = 0
-    for j in range(lo, (k - 1) // 2 + 1):
-        if last[j] + last[k - j] >= i:
-            acc += sum(map(mul, rows[j][:i + 1], rows[k - j][i::-1]))
-    acc *= 2
-    if k % 2 == 0 and lo <= k // 2 and 2 * last[k // 2] >= i:
-        row = rows[k // 2]
-        acc += sum(map(mul, row[:i + 1], row[i::-1]))
-    return acc
+    conv = [0] * width
+    reach = 0  # one past the last column reached
+    for j in range(1, k // 2 + 1):
+        m = k - j
+        if j == m:  # every pair before the middle one stands for its mirror too
+            conv[:reach] = [2 * x for x in conv[:reach]]
+        fa, la, lb = first[j], last[j], last[m]
+        start, stop = fa + first[m], la + lb + 1
+        if start >= stop:
+            continue  # a zero row
+        if stop > reach:
+            reach = stop
+        a, b = spans[j], backs[m]
+        for i in range(start, stop if stop < width else width):
+            # a[q] = N[j][fa + q] meets b[d + q] = N[m][i - fa - q]
+            d = lb + fa - i
+            conv[i] += sum(map(mul, a, b[d:])) if d >= 0 else sum(map(mul, a[-d:], b))
+    if k % 2:
+        conv[:reach] = [2 * x for x in conv[:reach]]
+    return conv, reach - 1
 
 
 def compute_series(
@@ -204,12 +223,15 @@ def compute_series(
                     - 4 l(l+1) (k==2)(i==0) ] / 2,
         E_k = -omega (2 N[k-1][k-1] + conv) / (4^k D^(k-1)).
 
-    With last[j] the last nonzero column of row j (row 0 included), a row
-    pair (j, k-j) enters a convolution at column i only when
-    last[j] + last[k-j] >= i.  Without a momentum term, row k is filled
-    through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
-    last[j] + last[k-j], and padded with zeros: past it no term of a cell
-    is nonzero.  Each E_k is built as one Fraction of integers.
+    With first[j] and last[j] the first and last nonzero columns of row j
+    (row 0 included), the pair (j, k-j) enters the convolution at column i
+    only through p in [max(first[j], i - last[k-j]), min(last[j], i - first[k-j])],
+    and the momentum term stops at p = i - first[k].  The residue column's
+    cell sum lacks only the p = 0 term 2 c~_0 N[k][k-1] of the bracket of
+    E_k, so E_k needs no second convolution.  Without a momentum term, row k
+    is filled through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
+    last[j] + last[k-j] over nonzero rows, and padded with zeros: past it no
+    term of a cell is nonzero.  Each E_k is built as one Fraction of integers.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -220,34 +242,44 @@ def compute_series(
         )
     d, c0 = _momentum_row(potential, order - 1)
     momentum = any(c0[1:])
+    # first[j], last[j]: the first and last nonzero columns of row j; a zero
+    # row has first = order and last = -1, so it reaches no column
+    first, last = [0], [max(i for i, x in enumerate(c0) if x)]
+    spans, backs = [c0[:last[0] + 1]], [c0[last[0]::-1]]
+    tail = spans[0][1:]
     rows = [c0]
-    # last[j]: the last nonzero column of row j, -1 for a zero row
-    last = [max(i for i, x in enumerate(c0) if x)]
     omega = potential.omega
     corrections = []
     for k in range(1, order + 1):
-        row = []
-        rows.append(row)
         prev = rows[k - 1]
+        conv, reach = _convolution(spans, backs, first, last, k, order)
         # Without a momentum term the row is zero past `end`: the convolution
         # is zero past the last column that a pair of nonzero entries reaches,
         # and on a harmonic fill that is column 0.
-        reach = max((last[j] + last[k - j] for j in range(1, k)), default=-1)
         end = order - 1 if momentum else min(max(last[k - 1], reach, 0), order - 1)
+        energy = 0  # the residue column's bracket, when the row ends before it
+        row, lo, hi = [], order, -1
         for i in range(end + 1):
+            acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + conv[i]
+            if lo < i:
+                # reversed(row) runs C[k][i-1], C[k][i-2], ..., pairing
+                # C[k][i-p] with c_p; past p = i - lo the entry is zero
+                acc += 2 * sum(map(mul, tail[:i - lo], reversed(row)))
             if i == k - 1:
-                row.append(2 * state.principal if k == 1 else 0)
-                continue
-            acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + _convolution(rows, last, k, i, lo=1)
-            if momentum:
-                # row holds columns 0..i-1, so row[::-1] pairs C[k][i-p] with c_p
-                acc += 2 * sum(map(mul, c0[1:i + 1], row[::-1]))
-            if k == 2 and i == 0:
-                acc -= 4 * state.centrifugal
-            row.append(_halve(acc, f"C[{k}][{i}]"))
-        last.append(max((i for i, x in enumerate(row) if x), default=-1))
-        row += [0] * (order - 1 - end)
-        acc = 2 * prev[k - 1] + _convolution(rows, last, k, k - 1, lo=0)
+                n = 2 * state.principal if k == 1 else 0
+                energy = acc - 2 * n  # plus the p = 0 term, 2 c~_0 N[k][k-1]
+            else:
+                if k == 2 and i == 0:
+                    acc -= 4 * state.centrifugal
+                n = _halve(acc, f"C[{k}][{i}]")
+            row.append(n)
+            if n:
+                lo, hi = min(lo, i), i
+        rows.append(row + [0] * (order - 1 - end))
+        first.append(lo)
+        last.append(hi)
+        spans.append(row[lo:hi + 1])
+        backs.append(spans[k][::-1])
         scale = 4**k * d ** (k - 1) * omega.denominator
-        corrections.append(Fraction(-acc * omega.numerator, scale))
+        corrections.append(Fraction(-energy * omega.numerator, scale))
     return CoefficientTable(potential, state, d, rows), EnergySeries(tuple(corrections))

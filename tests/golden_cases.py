@@ -13,7 +13,10 @@ find the level on an eighth-size grid and converge on the configured grid
 from that seed (each energy moved by less than the tolerance).  `compute_pade_json`,
 `validate_short_csv` and `error_pade` were re-recorded when `pade` moved to
 exact arithmetic, rounded once; the harmonic `[1/1]` case replaced the
-`[8/8]` quartic in `error_pade`, which exact arithmetic solves.  Rewrite the
+`[8/8]` quartic in `error_pade`, which exact arithmetic solves.
+`series_k64/quartic_n0_l0.json`, the quartic ground state, was added from
+the engine as it stood before each convolution was bounded by the rows'
+first nonzero columns too; no other file was re-recorded then.  Rewrite the
 files only for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
@@ -98,10 +101,11 @@ SERIES_CASES = {
     for n, l in ((0, 0), (1, 2))
 }
 SERIES_ORDER = 32
-# Deep series: one excited state of the quartic, one ground state off m = omega = 1.
+# Deep series: the quartic's ground and one excited state, one ground state off m = omega = 1.
 SERIES_K64_CASES = {
     "quartic_n1_l2": (_QUARTIC, 1, 2),
     "three_couplings_n0_l0": (_THREE_COUPLINGS, 0, 0),
+    "quartic_n0_l0": (_QUARTIC, 0, 0),
 }
 
 

@@ -340,3 +340,52 @@ class TestIntegerFill:
         couplings = [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]
         pot = make_potential(Fraction(7, 4), Fraction(5, 3), couplings)
         assert _momentum_row(pot, 3)[0] == 5**4 * 7**2
+
+
+def _naive_fill(potential, state, order):
+    """N[k][i] and E_k by the integer recursion of `compute_series`, every sum in full.
+
+    No term is skipped: each convolution runs over every j and every p, and
+    E_k takes its own convolution over j = 0..k.
+    """
+    d, c0 = _momentum_row(potential, order - 1)
+    rows, corrections = [c0], []
+    for k in range(1, order + 1):
+        rows.append([0] * order)
+        for i in range(order):
+            if i == k - 1:
+                rows[k][i] = 2 * state.principal if k == 1 else 0
+                continue
+            acc = 2 * (3 - 2 * k + 2 * i) * rows[k - 1][i]
+            acc += sum(rows[j][p] * rows[k - j][i - p] for j in range(1, k) for p in range(i + 1))
+            acc += 2 * sum(c0[p] * rows[k][i - p] for p in range(1, i + 1))
+            acc -= 4 * state.centrifugal * (k == 2 and i == 0)
+            assert acc % 2 == 0
+            rows[k][i] = acc // 2
+        acc = 2 * rows[k - 1][k - 1] + sum(
+            rows[j][p] * rows[k - j][k - 1 - p] for j in range(k + 1) for p in range(k)
+        )
+        scale = 4**k * d ** (k - 1) * potential.omega.denominator
+        corrections.append(Fraction(-acc * potential.omega.numerator, scale))
+    return rows, corrections
+
+
+class TestSkipRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(st.one_of(st.just(Fraction(0)), _COUPLING), max_size=3),
+        n=st.integers(0, 3),
+        l=st.integers(0, 4),
+        order=st.integers(1, 12),
+    )
+    def test_fill_matches_the_full_sums(self, mass, omega, couplings, n, l, order):
+        pot, state = make_potential(mass, omega, couplings), make_state(n, l)
+        table, series = compute_series(pot, state, order)
+        rows, corrections = _naive_fill(pot, state, order)
+        assert table._numerators == rows
+        assert list(series) == corrections
+        if n == 0:
+            # a nodeless C_k (k >= 2) has no pole at the origin: the skip rule's payoff
+            assert all(not any(row[:k]) for k, row in enumerate(rows[2:], start=2))

@@ -8,7 +8,12 @@ and cross-checks everything against an independent numeric radial solver.
 
 The names below are the library entry points and one base error per CLI exit
 code; everything else is reached through its module (`anharm.engine`,
-`anharm.wavefunction`, ...).
+`anharm.wavefunction`, ...).  The names of `oracle` (`solve_radial`,
+`default_config`, `compare_with_series`, `OracleError`) and of `resummation`
+(`partial_sums`, `divergence_diagnostics`, `pade`) load their module on first
+access (PEP 562 `__getattr__`) and are the module's own objects: the solver
+is the largest module, and `anharm compute` and `anharm check-harmonic`
+never run it, nor does `check-harmonic` run the resummation.
 """
 
 from .engine import EngineError, compute_series
@@ -20,8 +25,6 @@ from .model import (
     make_potential,
     make_state,
 )
-from .oracle import OracleError, compare_with_series, default_config, solve_radial
-from .resummation import divergence_diagnostics, pade, partial_sums
 
 __version__ = "0.1.0"
 
@@ -42,3 +45,23 @@ __all__ = [
     "partial_sums",
     "solve_radial",
 ]
+
+_LAZY = {
+    "OracleError": "oracle",
+    "compare_with_series": "oracle",
+    "default_config": "oracle",
+    "solve_radial": "oracle",
+    "divergence_diagnostics": "resummation",
+    "pade": "resummation",
+    "partial_sums": "resummation",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

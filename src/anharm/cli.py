@@ -10,6 +10,13 @@ computed exact and rounded once.  Exact rationals are serialized as "p/q"
 strings, floats as plain JSON numbers with 17 significant digits, so
 identical configs produce byte-identical output.
 
+Each subcommand imports only the modules it runs, so a fresh process
+compiles no more than it needs: `compute` loads `model`, `engine` and
+`resummation`; `check-harmonic` loads `model`, `engine` and `wavefunction`;
+`validate` loads what `compute` does plus the solver, `oracle`, which
+imports numpy when it solves.  `tempfile` is imported only to write an
+`--output` file.
+
 Exit codes: 0 success, 1 check failure, 2 config error (invalid solver options,
 a non-finite --bracket end, an order or Pade degrees the library refuses and
 an unwritable --output included), 3 engine or resummation error (an order
@@ -24,10 +31,9 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 
-from . import engine, oracle, resummation, wavefunction
+from . import engine
 from .model import ProblemSpecError, format_rational, make_potential, make_state
 
 EXIT_OK = 0
@@ -74,6 +80,8 @@ def _csv_cell(x) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".anharm-", suffix=".tmp")
     try:
@@ -194,6 +202,8 @@ def _run(args, potential, state, validate: bool) -> str:
     `validate` adds the radial solver's energy and the deviation of each
     partial sum (and of the Pade value) from it.
     """
+    from . import resummation
+
     _, series = engine.compute_series(potential, state, args.order)
     pade_value = None
     if args.pade_num is not None:
@@ -218,6 +228,8 @@ def _run(args, potential, state, validate: bool) -> str:
         "partial_sum": report.partial_sums,
     }
     if validate:
+        from . import oracle
+
         solver = {k: getattr(args, k) for k in _SOLVER_OPTIONS if getattr(args, k) is not None}
         result = oracle.solve_radial(potential, oracle.default_config(potential, state, **solver))
         record = oracle.compare_with_series(result, report, pade_value)
@@ -248,6 +260,8 @@ def _check_state(n: int, l: int, order: int) -> str | None:
     for k, (e_k, want) in enumerate(zip(series, exact), 1):
         if e_k != want:
             return f"(n={n}, l={l}, k={k}): E_{k} = {e_k} != {want}"
+    from . import wavefunction
+
     d = wavefunction.harmonic_d_coefficients(state, max(order, n + 1, 2))
     for k in range(1, order + 1):
         head, *tail = table.row(k)
@@ -337,6 +351,14 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, name: str) -> tuple:
+    """(anharm.<module>.<name>,) once that module is loaded, else (): nothing
+    can have raised its errors before.  An except clause evaluates this only
+    when an error reaches it, so the success path never imports the module."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(loaded, name),) if loaded else ()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -373,10 +395,10 @@ def main(argv=None) -> int:
     except (ConfigError, ProblemSpecError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (engine.EngineError, resummation.ResummationError) as exc:
+    except (engine.EngineError, *_loaded("resummation", "ResummationError")) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except oracle.OracleError as exc:
+    except _loaded("oracle", "OracleError") as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ORACLE
 

@@ -153,17 +153,19 @@ class CoefficientTable:
 
 def _convolution(
     spans: list, backs: list, first: list, last: list, k: int, width: int
-) -> tuple[list, int]:
-    """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for i < width, and the reach.
+) -> tuple[list, int, int]:
+    """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for i < width, and
+    the first and last columns reached.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
     value).  spans[j] holds row j's columns first[j]..last[j] and backs[j]
     the same reversed, so at column i one slice lines up every p with
     first[j] <= p <= last[j] and first[k-j] <= i-p <= last[k-j]; `map` stops
-    at the shorter operand.  The reach is the last column that a pair of
-    nonzero rows reaches, -1 when none does.
+    at the shorter operand.  The columns reached are those that a pair of
+    nonzero rows reaches: the first is `width` and the last -1 when none does.
     """
     conv = [0] * width
+    low = width  # the first column reached
     reach = 0  # one past the last column reached
     for j in range(1, k // 2 + 1):
         m = k - j
@@ -173,6 +175,8 @@ def _convolution(
         start, stop = fa + first[m], la + lb + 1
         if start >= stop:
             continue  # a zero row
+        if start < low:
+            low = start
         if stop > reach:
             reach = stop
         a, b = spans[j], backs[m]
@@ -182,7 +186,7 @@ def _convolution(
             conv[i] += sum(map(mul, a, b[d:])) if d >= 0 else sum(map(mul, a[-d:], b))
     if k % 2:
         conv[:reach] = [2 * x for x in conv[:reach]]
-    return conv, reach - 1
+    return conv, low, reach - 1
 
 
 def compute_series(
@@ -231,7 +235,12 @@ def compute_series(
     E_k, so E_k needs no second convolution.  Without a momentum term, row k
     is filled through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
     last[j] + last[k-j] over nonzero rows, and padded with zeros: past it no
-    term of a cell is nonzero.  Each E_k is built as one Fraction of integers.
+    term of a cell is nonzero.  Likewise row k starts at column
+    min(first[k-1], min_j first[j] + first[k-j], k-1) and before it holds
+    zeros: there every term but the momentum term is zero, and that one
+    reads the row's own earlier cells.  Row 1 starts at column 0, its
+    residue 2n+l+1, so row 2 starts at column 0, where l(l+1) enters.
+    Each E_k is built as one Fraction of integers.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -252,14 +261,16 @@ def compute_series(
     corrections = []
     for k in range(1, order + 1):
         prev = rows[k - 1]
-        conv, reach = _convolution(spans, backs, first, last, k, order)
+        conv, low, reach = _convolution(spans, backs, first, last, k, order)
         # Without a momentum term the row is zero past `end`: the convolution
         # is zero past the last column that a pair of nonzero entries reaches,
         # and on a harmonic fill that is column 0.
         end = order - 1 if momentum else min(max(last[k - 1], reach, 0), order - 1)
+        # The row is zero before `start`, the first column a term reaches.
+        start = min(first[k - 1], low, k - 1, end + 1)
         energy = 0  # the residue column's bracket, when the row ends before it
-        row, lo, hi = [], order, -1
-        for i in range(end + 1):
+        row, lo, hi = [0] * start, order, -1
+        for i in range(start, end + 1):
             acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + conv[i]
             if lo < i:
                 # reversed(row) runs C[k][i-1], C[k][i-2], ..., pairing
@@ -271,7 +282,8 @@ def compute_series(
             else:
                 if k == 2 and i == 0:
                     acc -= 4 * state.centrifugal
-                n = _halve(acc, f"C[{k}][{i}]")
+                # the label is built only for an odd acc, which _halve refuses
+                n = _halve(acc, f"C[{k}][{i}]") if acc & 1 else acc >> 1
             row.append(n)
             if n:
                 lo, hi = min(lo, i), i

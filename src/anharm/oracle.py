@@ -16,7 +16,7 @@ finds the level, the configured grid converges on it from that energy, and
 a half-size grid gives the error estimate.  Everything here is floating
 point; it exists to validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
-module, as `anharm` and `anharm.cli` do, does not load it.
+module does not load it; the first solve does.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ _LN2 = math.log(2.0)
 _DECAY_MARGIN = 20.0
 # Half width, relative to max(omega, |E|), of a seeded solve's first bracket.
 _SEED_WIDTH = 1e-7
-# The window that (E_(g/16) - E_(g/8)) / (E_(g/8) - E_(g/4)), 16 for an exact
-# h^4 law, must lie in before the ladder's extrapolated level is taken.  On
-# the default grid the ratio of 110 solves (11 potentials, the negative well
-# and v_1 = 1000 among them, 10 states each) lay in 15.74-16.22.
-_RATIO_WINDOW = (15.0, 17.0)
 
 
 class OracleError(Exception):
@@ -382,9 +377,12 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     removes it from the energies on grids a and twice as fine.  The solve
     returns R(g/8, g/4), with the estimate |R(g/8, g/4) - R(g/16, g/8)|
     (at least twice the tolerance), when the 1/4-size grid counts n nodes
-    and (E_16 - E_8) / (E_8 - E_4) lies in _RATIO_WINDOW around 16, the h^4
-    law's ratio, or the three lie within twice the tolerance (the ratio is
-    then noise; E_4's grid error, 1/256 of E_16's, lies below it).
+    and E_16 - E_8 is 16 (E_8 - E_4), the h^4 law, to within |E_8 - E_4| (a
+    ratio in [15, 17]) plus 17 times the tolerance, the most that the rungs'
+    own errors can move it (each energy lies anywhere within half the
+    tolerance of its grid's level, where its bisection stopped), or the three
+    lie within twice the tolerance (the ratio is then noise; E_4's grid
+    error, 1/256 of E_16's, lies below it).
     Otherwise, also when any rung raises, the path that coarser grids take
     runs as if the ladder had not, so errors are its own.
 
@@ -408,18 +406,21 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
         except (OracleError, ValueError):
             pass
         else:
-            low, high = _RATIO_WINDOW
+            tol = config.tolerance
+            # The h^4 law: E_16 - E_8 = 16 (E_8 - E_4), up to |E_8 - E_4| (a
+            # ratio in [15, 17]; on the default grid 110 solves, 11 potentials
+            # with the negative well and v_1 = 1000, gave 15.74-16.22) and the
+            # rungs' own errors, each within tol / 2 of its grid's level:
+            # |d_16| + 17 |d_8| + 16 |d_4| <= 17 tol.
             if node_count == config.target_state.n and (
-                max(e16, e8, e4) - min(e16, e8, e4) <= 2.0 * config.tolerance
-                or e8 != e4 and low <= (e16 - e8) / (e8 - e4) <= high
+                max(e16, e8, e4) - min(e16, e8, e4) <= 2.0 * tol
+                or abs(e16 - e8 - 16.0 * (e8 - e4)) <= abs(e8 - e4) + 17.0 * tol
             ):
                 energy = _richardson(e8, e4)
                 return OracleResult(
                     energy=energy,
                     node_count=node_count,
-                    residual_estimate=max(
-                        abs(energy - _richardson(e16, e8)), 2.0 * config.tolerance
-                    ),
+                    residual_estimate=max(abs(energy - _richardson(e16, e8)), 2.0 * tol),
                     converged=True,
                 )
     loose = config._replace(tolerance=max(config.tolerance, 1e-8 * max(omega, abs(upper))))

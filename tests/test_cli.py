@@ -729,34 +729,61 @@ def _fresh_python(*args):
 
 
 def test_cold_start_needs_no_dataclasses():
-    """Start-up loads neither `dataclasses` nor `inspect`, and with
-    `dataclasses` unimportable compute, check-harmonic and validate render
-    their golden transcripts byte for byte.  `golden_cases` cannot run in that
-    interpreter (its `unittest` import loads `dataclasses`), so the argv go
-    in and the transcripts are checked here."""
-    loaded = "import anharm.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = _fresh_python("-S", "-c", loaded)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-    names = ["compute_pade_json", "check_harmonic", "validate_short_csv"]
-    script = f"""
-        import contextlib, io, json, sys
-        sys.modules["dataclasses"] = None
-        from anharm.cli import main
-
-        runs = {{}}
-        for name, argv in {({name: CLI_CASES[name] for name in names})!r}.items():
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            runs[name] = [code, stdout.getvalue(), stderr.getvalue()]
-        print(json.dumps(runs))
+    """Start-up loads neither `dataclasses` nor `inspect`, and each subcommand
+    loads only the modules it runs: `import anharm.cli` leaves the solver,
+    the resummation, the wavefunction module, numpy and `tempfile` unloaded.
+    With `dataclasses` unimportable, and with the modules a subcommand does
+    not run unimportable too, compute (a success, an engine error and a
+    resummation error), check-harmonic and validate render their golden
+    transcripts byte for byte, each in a fresh interpreter.  `golden_cases`
+    cannot run in those interpreters (its `unittest` import loads
+    `dataclasses`), so the argv go in and the transcripts are checked here.
+    The lazy public names resolve to their modules' own objects."""
+    unloaded = {"dataclasses", "inspect", "numpy", "tempfile", "anharm.oracle",
+                "anharm.resummation", "anharm.wavefunction"}
+    loaded = f"""
+        import sys
+        import anharm.cli
+        print(sorted({unloaded!r} & set(sys.modules)))
+        import anharm
+        star = {{}}
+        exec("from anharm import *", star)
+        from anharm import engine, model, oracle, resummation
+        homes = [vars(module) for module in (engine, model, oracle, resummation)]
+        print(all(
+            star[name] is getattr(anharm, name) is next(h[name] for h in homes if name in h)
+            for name in anharm.__all__
+        ), anharm.solve_radial is oracle.solve_radial, anharm.OracleError is oracle.OracleError)
     """
-    proc = _fresh_python("-c", textwrap.dedent(script))
+    proc = _fresh_python("-S", "-c", textwrap.dedent(loaded))
     assert proc.returncode == 0, proc.stderr
-    for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
-        transcript = (
-            f"$ anharm {' '.join(CLI_CASES[name])}\nexit {code}\n"
-            f"--- stdout\n{stdout}--- stderr\n{stderr}"
-        )
-        assert transcript.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes(), name
+    assert proc.stdout == "[]\nTrue True True\n"
+    blocked = {
+        ("compute_pade_json", "error_engine", "error_pade"):
+            ["anharm.oracle", "anharm.wavefunction"],
+        ("check_harmonic",): ["anharm.oracle", "anharm.resummation"],
+        ("validate_short_csv",): ["anharm.wavefunction"],
+    }
+    for names, modules in blocked.items():
+        script = f"""
+            import contextlib, io, json, sys
+            for module in {["dataclasses", *modules]!r}:
+                sys.modules[module] = None
+            from anharm.cli import main
+
+            runs = {{}}
+            for name, argv in {({name: CLI_CASES[name] for name in names})!r}.items():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                runs[name] = [code, stdout.getvalue(), stderr.getvalue()]
+            print(json.dumps(runs))
+        """
+        proc = _fresh_python("-c", textwrap.dedent(script))
+        assert proc.returncode == 0, proc.stderr
+        for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
+            transcript = (
+                f"$ anharm {' '.join(CLI_CASES[name])}\nexit {code}\n"
+                f"--- stdout\n{stdout}--- stderr\n{stderr}"
+            )
+            assert transcript.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes(), name

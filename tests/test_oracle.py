@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -254,22 +255,54 @@ class TestRichardsonLadder:
         self, monkeypatch, fallback, state, energy, residual
     ):
         """Pinned bit for bit: the eighth-size, configured and half-size grid
-        solve that the default grid ran before the ladder."""
-        if fallback == "rung error":
-            seeded = oracle._seeded
+        solve that the default grid ran before the ladder.  The quarter-size
+        rung raises, or its energy moves by 1e-9, far off the h^4 law and
+        far beyond the tolerance from the other rungs."""
+        seeded = oracle._seeded
 
-            def quarter_fails(potential, config, grid_points, energy):
-                if grid_points == config.grid_points // 4:
-                    raise NotConverged("no level on the quarter-size grid")
+        def quarter_fails(potential, config, grid_points, energy):
+            if grid_points != config.grid_points // 4:
                 return seeded(potential, config, grid_points, energy)
+            if fallback == "rung error":
+                raise NotConverged("no level on the quarter-size grid")
+            level, nodes = seeded(potential, config, grid_points, energy)
+            return level + 1e-9, nodes
 
-            monkeypatch.setattr(oracle, "_seeded", quarter_fails)
-        else:
-            monkeypatch.setattr(oracle, "_RATIO_WINDOW", (1.0, 0.0))
+        monkeypatch.setattr(oracle, "_seeded", quarter_fails)
         result = solve_radial(self.WEAK, default_config(self.WEAK, make_state(*state)))
         assert result.energy.hex() == energy
         assert result.residual_estimate.hex() == residual
         assert result.node_count == state[0]
+
+    @pytest.mark.parametrize("signs", list(itertools.product((-1, 1), repeat=3)))
+    def test_ladder_allows_for_where_each_rung_stopped(self, monkeypatch, signs):
+        """Each rung energy is the midpoint of a bracket no wider than the
+        tolerance, so it may lie anywhere within half the tolerance of its
+        grid's level.  At v_1 = 1/100, (0,0), E_8 - E_4 is only -6.75e-12, and
+        moving the three rungs by 0.45 tolerance gives ratios of 14.0-18.6:
+        the ladder's level must still be taken, and be right."""
+        state = make_state(0, 0)
+        config = default_config(self.WEAK, state)
+        g = config.grid_points
+        shift = dict(zip((g // 16, g // 8, g // 4), (0.45 * s * config.tolerance for s in signs)))
+        bisect, sweep = oracle._bisect_on_nodes, oracle._integrate
+        points = 0
+
+        def shifted(potential, config, grid_points, bracket):
+            energy, nodes = bisect(potential, config, grid_points, bracket)
+            return energy + shift.get(grid_points, 0.0), nodes
+
+        def counted(*args):
+            nonlocal points
+            points += len(args[4])
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", shifted)
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        result = solve_radial(self.WEAK, config)
+        _, series = compute_series(self.WEAK, state, 34)
+        assert points <= 4 * g
+        assert abs(result.energy - pade(series, 16, 16)) <= result.residual_estimate <= 1e-11
 
     @pytest.mark.parametrize(
         "problem, state",

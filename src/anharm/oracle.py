@@ -7,16 +7,13 @@ function of E that jumps by one exactly at each box eigenvalue, where the
 boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
 bracket holds only that jump isolates the level with n radial nodes without
 ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
-count deciding which end moves, then converge on it.  On the default grid
-and finer, grids of 1/16, 1/8 and 1/4 the configured size find the level one
-from the other, and Richardson extrapolation of Numerov's h^4 error gives the
-energy and its error estimate; on coarser grids, and whenever neither the
-h^4 law shows nor the energies agree to the tolerance, an eighth-size grid
-finds the level, the configured grid converges on it from that energy, and
-a half-size grid gives the error estimate.  Everything here is floating
-point; it exists to validate the exact series from the outside.
-numpy is imported inside the functions that build arrays, so importing this
-module does not load it; the first solve does.
+count deciding which end moves, then converge on it.  Grids of 1/16, 1/8,
+1/4, 1/2 and all of the configured size find the level one from the other,
+and Richardson extrapolation of Numerov's h^4 error gives the energy and its
+error estimate.  Everything here is floating point; it exists to validate
+the exact series from the outside.  numpy is imported inside the functions
+that build arrays, so importing this module does not load it; the first
+solve does.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from collections import namedtuple
 from itertools import islice
 
 from .model import PotentialSpec, QuantumState
-from .resummation import SummationReport
 
 _MAX_STEPS = 200
 _RESCALE_LIMIT = 1e250
@@ -369,74 +365,47 @@ def _richardson(coarse: float, fine: float) -> float:
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
     """Eigenvalue with exactly n interior nodes and r^(l+1) origin behavior.
 
-    When g // 16 >= 1000 (g = grid_points, the finest grid a solve may use),
-    a ladder of three solves runs first: a 1/16-size grid finds the level
-    from the configured bracket at the configured tolerance, and the 1/8-
-    and 1/4-size grids, each seeded by the one below, converge on it.
-    Numerov's energy error is O(h^4), so R(a, b) = E_b + (E_b - E_a) / 15
-    removes it from the energies on grids a and twice as fine.  The solve
-    returns R(g/8, g/4), with the estimate |R(g/8, g/4) - R(g/16, g/8)|
-    (at least twice the tolerance), when the 1/4-size grid counts n nodes
-    and E_16 - E_8 is 16 (E_8 - E_4), the h^4 law, to within |E_8 - E_4| (a
-    ratio in [15, 17]) plus 17 times the tolerance, the most that the rungs'
-    own errors can move it (each energy lies anywhere within half the
-    tolerance of its grid's level, where its bisection stopped), or the three
-    lie within twice the tolerance (the ratio is then noise; E_4's grid
-    error, 1/256 of E_16's, lies below it).
-    Otherwise, also when any rung raises, the path that coarser grids take
-    runs as if the ladder had not, so errors are its own.
-
-    That path is three solves, each seeded by the one before.  An eighth-size
-    grid finds the level from the configured bracket, to a loose tolerance of
-    1e-8 max(omega, |upper end|).  The configured grid converges on it from
-    _seeded's bracket around that energy; its own node counts decide the level,
-    so an eighth-grid energy off by a level fails that bracket and the solve
-    widens to the configured one.  Any error on the eighth-size grid hands
-    the whole search to the configured grid, so errors are the configured
-    grid's own.  A half-resolution grid, seeded from the fine energy, solves
-    once more; the difference is a conservative error estimate for the
-    returned (fine-grid) energy.
+    Grids of g/16, g/8, g/4, g/2 and g = grid_points points solve in turn at
+    the configured tolerance, the first from the configured bracket, each
+    later one seeded by the one below.  Numerov's energy error is O(h^4), so
+    R(a, b) = E_b + (E_b - E_a) / 15 removes it from the energies on grids a
+    and twice as fine.  From the third rung on, once the newest rung counts n
+    nodes and its last three energies a, b, c lie within twice the tolerance
+    or obey the h^4 law a - b = 16 (b - c) to within |b - c| (a ratio in
+    [15, 17]) plus 17 tolerances (each energy lies anywhere within half the
+    tolerance of its grid's level), the solve returns R(b, c), with the
+    estimate |R(b, c) - R(a, b)|, at least twice the tolerance.  Otherwise it
+    returns the g grid's energy, estimated by its distance to the g/2 grid's.
+    An error below g/2 drops the energies so far, and the next rung searches
+    the configured bracket; errors on g/2 and g are the solve's own.
     """
-    g, (_, upper), omega = config.grid_points, config.bracket, _floats(potential)[1]
-    if g // 16 >= 1000:
+    g, n, tol = config.grid_points, config.target_state.n, config.tolerance
+    energies = []
+    for size in (g // 16, g // 8, g // 4, g // 2, g):
         try:
-            e16, _ = _bisect_on_nodes(potential, config, g // 16, config.bracket)
-            e8, _ = _seeded(potential, config, g // 8, e16)
-            e4, node_count = _seeded(potential, config, g // 4, e8)
+            if energies:
+                energy, node_count = _seeded(potential, config, size, energies[-1])
+            else:
+                energy, node_count = _bisect_on_nodes(potential, config, size, config.bracket)
         except (OracleError, ValueError):
-            pass
-        else:
-            tol = config.tolerance
-            # The h^4 law: E_16 - E_8 = 16 (E_8 - E_4), up to |E_8 - E_4| (a
-            # ratio in [15, 17]; on the default grid 110 solves, 11 potentials
-            # with the negative well and v_1 = 1000, gave 15.74-16.22) and the
-            # rungs' own errors, each within tol / 2 of its grid's level:
-            # |d_16| + 17 |d_8| + 16 |d_4| <= 17 tol.
-            if node_count == config.target_state.n and (
-                max(e16, e8, e4) - min(e16, e8, e4) <= 2.0 * tol
-                or abs(e16 - e8 - 16.0 * (e8 - e4)) <= abs(e8 - e4) + 17.0 * tol
-            ):
-                energy = _richardson(e8, e4)
-                return OracleResult(
-                    energy=energy,
-                    node_count=node_count,
-                    residual_estimate=max(abs(energy - _richardson(e16, e8)), 2.0 * tol),
-                    converged=True,
-                )
-    loose = config._replace(tolerance=max(config.tolerance, 1e-8 * max(omega, abs(upper))))
-    try:
-        rough, _ = _bisect_on_nodes(potential, loose, g // 8, config.bracket)
-    except (OracleError, ValueError):
-        energy, node_count = _bisect_on_nodes(potential, config, g, config.bracket)
-    else:
-        energy, node_count = _seeded(potential, config, g, rough)
-    half, _ = _seeded(potential, config, g // 2, energy)
-    return OracleResult(
-        energy=energy,
-        node_count=node_count,
-        residual_estimate=max(abs(energy - half), 2.0 * config.tolerance),
-        converged=node_count == config.target_state.n,
-    )
+            if size >= g // 2:
+                raise
+            energies = []
+            continue
+        energies.append(energy)
+        if len(energies) < 3 or node_count != n:
+            continue
+        a, b, c = energies[-3:]
+        # The h^4 law, up to |b - c| (110 default solves, 11 potentials with the
+        # negative well and v_1 = 1000, gave ratios of 15.74-16.22) and the
+        # rungs' own errors: |d_a| + 17 |d_b| + 16 |d_c| <= 17 tol.
+        if (max(a, b, c) - min(a, b, c) <= 2.0 * tol
+                or abs(a - b - 16.0 * (b - c)) <= abs(b - c) + 17.0 * tol):
+            energy = _richardson(b, c)
+            estimate = max(abs(energy - _richardson(a, b)), 2.0 * tol)
+            return OracleResult(energy, node_count, estimate, converged=True)
+    estimate = max(abs(energy - energies[-2]), 2.0 * tol)
+    return OracleResult(energy, node_count, estimate, converged=node_count == n)
 
 
 def compare_with_series(

@@ -10,10 +10,13 @@ came to share one runner.  The four `validate_*` transcripts carry solver
 energies; they were re-recorded when the solver moved to the summed-form
 sweep, the Illinois stop and the energy-sized box, and again when it came to
 find the level on an eighth-size grid and converge on the configured grid
-from that seed (each energy moved by less than the tolerance).  `compute_pade_json`,
-`validate_short_csv` and `error_pade` were re-recorded when `pade` moved to
-exact arithmetic, rounded once; the harmonic `[1/1]` case replaced the
-`[8/8]` quartic in `error_pade`, which exact arithmetic solves.
+from that seed (each energy moved by less than the tolerance), and once more
+when one ladder of grids, 1/16 of the configured size up to all of it,
+replaced that path (each energy moved by at most 7.6e-12 and came closer to
+its reference).  `compute_pade_json`, `validate_short_csv` and `error_pade`
+were re-recorded when `pade` moved to exact arithmetic, rounded once; the
+harmonic `[1/1]` case replaced the `[8/8]` quartic in `error_pade`, which
+exact arithmetic solves.
 `series_k64/quartic_n0_l0.json`, the quartic ground state, was added from
 the engine as it stood before each convolution was bounded by the rows'
 first nonzero columns too; no other file was re-recorded then.  Rewrite the
@@ -24,11 +27,10 @@ files only for a change that is meant to alter output:
 CLI cases run in-process through `anharm.cli.main`, which is what
 `python -m anharm` calls.  Each transcript holds the argv, the config file
 when the case has one, the exit code, stdout and stderr.  The solver cases use
-a 4000-point grid to stay cheap; it lies below the 16000 points from which the
-solver extrapolates its 1/16-, 1/8- and 1/4-size grids, so that change did not
-move them.  The help texts are rendered at 80 columns;
-`help_validate.txt` was recorded before the defaults moved into the option
-table, `help_compute.txt` after `compute` dropped the solver flags.
+a 4000-point grid to stay cheap, so their ladders climb from 250 points.
+The help texts are rendered at 80 columns; `help_validate.txt` was recorded
+before the defaults moved into the option table, `help_compute.txt` after
+`compute` dropped the solver flags.
 """
 
 from __future__ import annotations

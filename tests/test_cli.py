@@ -731,7 +731,8 @@ def _fresh_python(*args):
 def test_cold_start_needs_no_dataclasses():
     """Start-up loads neither `dataclasses` nor `inspect`, and each subcommand
     loads only the modules it runs: `import anharm.cli` leaves the solver,
-    the resummation, the wavefunction module, numpy and `tempfile` unloaded.
+    the resummation, the wavefunction module, numpy and `tempfile` unloaded,
+    and `import anharm.oracle` then leaves the resummation unloaded still.
     With `dataclasses` unimportable, and with the modules a subcommand does
     not run unimportable too, compute (a success, an engine error and a
     resummation error), check-harmonic and validate render their golden
@@ -745,6 +746,8 @@ def test_cold_start_needs_no_dataclasses():
         import sys
         import anharm.cli
         print(sorted({unloaded!r} & set(sys.modules)))
+        import anharm.oracle
+        print("anharm.resummation" in sys.modules)
         import anharm
         star = {{}}
         exec("from anharm import *", star)
@@ -757,7 +760,7 @@ def test_cold_start_needs_no_dataclasses():
     """
     proc = _fresh_python("-S", "-c", textwrap.dedent(loaded))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue True True\n"
+    assert proc.stdout == "[]\nFalse\nTrue True True\n"
     blocked = {
         ("compute_pade_json", "error_engine", "error_pade"):
             ["anharm.oracle", "anharm.wavefunction"],

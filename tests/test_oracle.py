@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -52,6 +53,35 @@ INVALID_CONFIG_FIELDS = [
     {"bracket": (0.0, math.inf)},
     {"bracket": (-math.inf, 1.0)},
 ]
+
+
+HARMONIC_STATES = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (3, 0)]
+WEAK = make_potential(1, 1, [Fraction(1, 100)])
+WEAK_STATES = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 0), (0, 10), (5, 2)]
+
+
+@functools.cache
+def _weak_series(state):
+    return compute_series(WEAK, make_state(*state), 34)[1]
+
+
+def _weak_reference(state):
+    """The exact [16/16] Pade level of E_1..E_34 at v_1 = 1/100."""
+    return pade(_weak_series(state), 16, 16)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The grid size of every Numerov sweep the test runs, in order."""
+    sizes = []
+    sweep = oracle._integrate
+
+    def counted(*args):
+        sizes.append(len(args[4]))
+        return sweep(*args)
+
+    monkeypatch.setattr(oracle, "_integrate", counted)
+    return sizes
 
 
 def _solve(potential, n, l, grid_points=5000, tolerance=1e-11):
@@ -123,8 +153,10 @@ class TestGridRefinement:
         assert abs(fine.energy - coarse.energy) < coarse.residual_estimate
 
     def test_half_grid_below_minimum_fine_grid(self):
-        # At the 1000-point minimum the half grid has 500 points: a half grid
-        # as fine as the fine grid would leave only the 2 * tolerance floor.
+        # At the 1000-point minimum the rungs below 500 points count spurious
+        # nodes and fail, so the estimate is the distance to the 500-point
+        # rung: a rung as fine as the configured grid would leave only the
+        # 2 * tolerance floor.
         config = OracleConfig(
             r_max=30.0, grid_points=1000, target_state=make_state(0, 0),
             bracket=(0.0, 14.5), tolerance=1e-10,
@@ -133,8 +165,8 @@ class TestGridRefinement:
         assert abs(result.energy - 1.5) <= result.residual_estimate
 
     def test_half_grid_level_outside_seed_bracket(self):
-        # A coarse box step: the half-grid level lies beyond the fine energy
-        # +- 1e-7 max(1, |E|), so the half-grid solve widens to the bracket.
+        # A coarse box step: the configured grid's level lies beyond the half
+        # grid's energy +- 1e-7 max(1, |E|), so its solve widens to the bracket.
         config = OracleConfig(
             r_max=52.0, grid_points=2000, target_state=make_state(0, 0),
             bracket=(0.0, 14.5), tolerance=1e-10,
@@ -149,73 +181,81 @@ class TestGridRefinement:
 
 
 class TestLadder:
-    """The coarse grid finds the level, the configured grid converges on it."""
+    """The ladder climbs g/16, g/8, g/4, g/2 and g, the configured grid."""
 
-    @pytest.mark.parametrize(
-        "problem, state",
-        [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
-        + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
-    )
-    def test_points_budget(self, monkeypatch, problem, state):
-        """The states of test_sweep_budget, counted in grid points swept: a
-        search on the configured grid from the configured bracket alone
-        sweeps 18-23 grid sizes."""
-        points = 0
-        sweep = oracle._integrate
+    @pytest.mark.parametrize("grid_points", [2000, 4000])
+    @pytest.mark.parametrize("state", WEAK_STATES)
+    def test_small_grid_weak_coupling(self, swept, grid_points, state):
+        """Below the default grid: the eighth-size, configured and half-size
+        grid search that these grids ran before swept up to 24.8 grid sizes."""
+        config = default_config(WEAK, make_state(*state), grid_points=grid_points)
+        result = solve_radial(WEAK, config)
+        assert result.node_count == state[0] and result.converged
+        assert abs(result.energy - _weak_reference(state)) <= result.residual_estimate
+        assert sum(swept) <= 12 * grid_points
 
-        def counted(*args):
-            nonlocal points
-            points += len(args[4])
-            return sweep(*args)
-
-        monkeypatch.setattr(oracle, "_integrate", counted)
-        potential = make_potential(*problem)
-        config = default_config(potential, make_state(*state))
-        solve_radial(potential, config)
-        assert points <= 12 * config.grid_points
+    @pytest.mark.parametrize("grid_points", [2000, 4000])
+    @pytest.mark.parametrize("state", HARMONIC_STATES)
+    def test_small_grid_harmonic(self, grid_points, state):
+        config = default_config(HARMONIC, make_state(*state), grid_points=grid_points)
+        result = solve_radial(HARMONIC, config)
+        assert result.node_count == state[0] and result.converged
+        assert abs(result.energy - (2 * state[0] + state[1] + 1.5)) <= result.residual_estimate
 
     def test_coarse_failure_solves_from_the_configured_bracket(self, monkeypatch):
-        potential = make_potential(1, 1, [Fraction(1, 10)])
-        config = default_config(potential, make_state(1, 1), grid_points=4000)
+        config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect = oracle._bisect_on_nodes
+        calls = []
 
         def coarse_fails(potential, config, grid_points, bracket):
-            if grid_points == config.grid_points // 8:
+            calls.append((grid_points, bracket))
+            if grid_points == config.grid_points // 16:
                 raise BracketingFailure("no level on the coarse grid")
             return bisect(potential, config, grid_points, bracket)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_fails)
-        result = solve_radial(potential, config)
-        assert (result.energy, result.node_count) == bisect(potential, config, 4000, config.bracket)
+        result = solve_radial(WEAK, config)
+        assert calls[:2] == [(250, config.bracket), (500, config.bracket)]
+        assert result.node_count == 1 and result.converged
+        assert abs(result.energy - _weak_reference((1, 1))) <= result.residual_estimate
+
+    @pytest.mark.parametrize("fails_at", [2000, 4000])
+    def test_error_on_the_finest_rungs_is_the_solves_own(self, monkeypatch, fails_at):
+        # The rungs below g/2 fail too, so no triple can stop the climb early.
+        config = default_config(WEAK, make_state(1, 1), grid_points=4000)
+        bisect = oracle._bisect_on_nodes
+
+        def fine_fails(potential, config, grid_points, bracket):
+            if grid_points < 2000 or grid_points == fails_at:
+                raise NotConverged(f"no level on {grid_points} points")
+            return bisect(potential, config, grid_points, bracket)
+
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", fine_fails)
+        with pytest.raises(NotConverged, match=f"no level on {fails_at} points"):
+            solve_radial(WEAK, config)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_coarse_neighbour_level_is_not_taken(self, monkeypatch, shift):
-        # The fine grid's node counts refuse the neighbour's seed bracket.
-        potential = make_potential(1, 1, [Fraction(1, 10)])
-        state = make_state(1, 1)
-        expected = solve_radial(potential, default_config(potential, state, grid_points=4000))
+        # The g/16 rung returns the level below or above; the g/8 grid's node
+        # counts refuse the seed bracket around it.
         neighbour = make_state(1 + shift, 1)
-        wrong = solve_radial(potential, default_config(potential, neighbour, grid_points=4000))
-        config = default_config(potential, state, grid_points=4000)
+        wrong = solve_radial(WEAK, default_config(WEAK, neighbour, grid_points=4000))
+        config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect = oracle._bisect_on_nodes
 
         def coarse_neighbour(potential, config, grid_points, bracket):
-            if grid_points == config.grid_points // 8:
+            if grid_points == config.grid_points // 16:
                 return wrong.energy, neighbour.n
             return bisect(potential, config, grid_points, bracket)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_neighbour)
-        result = solve_radial(potential, config)
+        result = solve_radial(WEAK, config)
         assert result.node_count == 1 and result.converged
-        assert abs(result.energy - expected.energy) <= result.residual_estimate
-        assert result.energy == bisect(potential, config, 4000, config.bracket)[0]
+        assert abs(result.energy - _weak_reference((1, 1))) <= result.residual_estimate
 
 
 class TestRichardsonLadder:
     """On the default grid, R(g/8, g/4) from the 1/16-, 1/8- and 1/4-size grids."""
-
-    HARMONIC_STATES = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (3, 0)]
-    WEAK = make_potential(1, 1, [Fraction(1, 100)])
 
     @pytest.mark.parametrize("state", HARMONIC_STATES)
     def test_harmonic_exact_levels(self, state):
@@ -233,120 +273,84 @@ class TestRichardsonLadder:
         exact = 2 * state[0] + state[1] + 1.5
         assert not abs(result.energy - exact) <= result.residual_estimate <= 1e-11
 
-    @pytest.mark.parametrize(
-        "state", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 0), (0, 10), (5, 2)]
-    )
+    @pytest.mark.parametrize("state", WEAK_STATES)
     def test_weak_coupling_reference(self, state):
         """At v_1 = 1/100 the exact [16/16] Pade level of E_1..E_34 is a
         float-precision reference: [17/16] rounds to the same float."""
-        _, series = compute_series(self.WEAK, make_state(*state), 34)
-        reference = pade(series, 16, 16)
-        assert pade(series, 17, 16) == reference
-        result = solve_radial(self.WEAK, default_config(self.WEAK, make_state(*state)))
+        reference = _weak_reference(state)
+        assert pade(_weak_series(state), 17, 16) == reference
+        result = solve_radial(WEAK, default_config(WEAK, make_state(*state)))
         assert abs(result.energy - reference) <= result.residual_estimate <= 1e-11
 
-    @pytest.mark.parametrize("fallback", ["ratio outside the window", "rung error"])
-    @pytest.mark.parametrize(
-        "state, energy, residual",
-        [((0, 0), "0x1.89203edd714dcp+0", "0x1.19799812dea11p-39"),
-         ((1, 2), "0x1.781788bc2929ap+2", "0x1.19799812dea11p-39")],
-    )
-    def test_fallback_is_the_eighth_fine_half_path(
-        self, monkeypatch, fallback, state, energy, residual
-    ):
-        """Pinned bit for bit: the eighth-size, configured and half-size grid
-        solve that the default grid ran before the ladder.  The quarter-size
-        rung raises, or its energy moves by 1e-9, far off the h^4 law and
-        far beyond the tolerance from the other rungs."""
-        seeded = oracle._seeded
+    @pytest.mark.parametrize("fault", ["shift", "error"])
+    @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
+    def test_no_h4_law_returns_the_configured_grid(self, monkeypatch, fault, state):
+        """The 1/4-size rung moves by 1e-9, far off the h^4 law and far beyond
+        the tolerance from the other rungs, or raises: no triple obeys the law,
+        and the solve returns the configured grid's level, estimated by its
+        distance to the half-size grid's."""
+        config = default_config(WEAK, make_state(*state))
+        g, bisect = config.grid_points, oracle._bisect_on_nodes
+        energies = {}
 
-        def quarter_fails(potential, config, grid_points, energy):
-            if grid_points != config.grid_points // 4:
-                return seeded(potential, config, grid_points, energy)
-            if fallback == "rung error":
+        def quarter_off(potential, config, grid_points, bracket):
+            if grid_points == g // 4 and fault == "error":
                 raise NotConverged("no level on the quarter-size grid")
-            level, nodes = seeded(potential, config, grid_points, energy)
-            return level + 1e-9, nodes
+            level, nodes = bisect(potential, config, grid_points, bracket)
+            energies[grid_points] = level + (1e-9 if grid_points == g // 4 else 0.0)
+            return energies[grid_points], nodes
 
-        monkeypatch.setattr(oracle, "_seeded", quarter_fails)
-        result = solve_radial(self.WEAK, default_config(self.WEAK, make_state(*state)))
-        assert result.energy.hex() == energy
-        assert result.residual_estimate.hex() == residual
-        assert result.node_count == state[0]
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", quarter_off)
+        result = solve_radial(WEAK, config)
+        assert result.energy == energies[g] and result.node_count == state[0]
+        assert result.residual_estimate == max(abs(energies[g] - energies[g // 2]), 2e-12)
+        assert abs(result.energy - _weak_reference(state)) <= result.residual_estimate
 
     @pytest.mark.parametrize("signs", list(itertools.product((-1, 1), repeat=3)))
-    def test_ladder_allows_for_where_each_rung_stopped(self, monkeypatch, signs):
+    def test_ladder_allows_for_where_each_rung_stopped(self, monkeypatch, swept, signs):
         """Each rung energy is the midpoint of a bracket no wider than the
         tolerance, so it may lie anywhere within half the tolerance of its
         grid's level.  At v_1 = 1/100, (0,0), E_8 - E_4 is only -6.75e-12, and
         moving the three rungs by 0.45 tolerance gives ratios of 14.0-18.6:
         the ladder's level must still be taken, and be right."""
-        state = make_state(0, 0)
-        config = default_config(self.WEAK, state)
+        config = default_config(WEAK, make_state(0, 0))
         g = config.grid_points
         shift = dict(zip((g // 16, g // 8, g // 4), (0.45 * s * config.tolerance for s in signs)))
-        bisect, sweep = oracle._bisect_on_nodes, oracle._integrate
-        points = 0
+        bisect = oracle._bisect_on_nodes
 
         def shifted(potential, config, grid_points, bracket):
             energy, nodes = bisect(potential, config, grid_points, bracket)
             return energy + shift.get(grid_points, 0.0), nodes
 
-        def counted(*args):
-            nonlocal points
-            points += len(args[4])
-            return sweep(*args)
-
         monkeypatch.setattr(oracle, "_bisect_on_nodes", shifted)
-        monkeypatch.setattr(oracle, "_integrate", counted)
-        result = solve_radial(self.WEAK, config)
-        _, series = compute_series(self.WEAK, state, 34)
-        assert points <= 4 * g
-        assert abs(result.energy - pade(series, 16, 16)) <= result.residual_estimate <= 1e-11
+        result = solve_radial(WEAK, config)
+        assert sum(swept) <= 4 * g
+        assert abs(result.energy - _weak_reference((0, 0))) <= result.residual_estimate <= 1e-11
 
     @pytest.mark.parametrize(
         "problem, state",
         [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
         + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
     )
-    def test_points_budget(self, monkeypatch, problem, state):
+    def test_points_budget(self, swept, problem, state):
         """The states of test_sweep_budget: the eighth, fine and half-size
         grids swept 7.9-10.4 grid sizes, the ladder sweeps 2.5-2.9."""
-        points = 0
-        sweep = oracle._integrate
-
-        def counted(*args):
-            nonlocal points
-            points += len(args[4])
-            return sweep(*args)
-
-        monkeypatch.setattr(oracle, "_integrate", counted)
         potential = make_potential(*problem)
         config = default_config(potential, make_state(*state))
         solve_radial(potential, config)
-        assert points <= 4 * config.grid_points
+        assert sum(swept) <= 4 * config.grid_points
 
     @pytest.mark.parametrize("state", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
-    def test_unit_length_oscillator(self, monkeypatch, state):
+    def test_unit_length_oscillator(self, swept, state):
         """m = 10^6, omega = 10^-6, v_1 = 10^-8 is v_1 = 1/100 in oscillator
         units, at energies ~1e-6.  The three rungs agree to within the 1e-12
         tolerance, so their ratio is noise and the ladder's level is taken;
-        a fallback after the ladder would sweep 19-20 grid sizes."""
-        points = 0
-        sweep = oracle._integrate
-
-        def counted(*args):
-            nonlocal points
-            points += len(args[4])
-            return sweep(*args)
-
-        _, series = compute_series(self.WEAK, make_state(*state), 34)
-        reference = 1e-6 * pade(series, 16, 16)
-        monkeypatch.setattr(oracle, "_integrate", counted)
+        a climb past the 1/4-size grid would sweep more than 4 grid sizes."""
+        reference = 1e-6 * _weak_reference(state)
         potential = make_potential(10**6, Fraction(1, 10**6), [Fraction(1, 10**8)])
         config = default_config(potential, make_state(*state))
         result = solve_radial(potential, config)
-        assert points <= 4 * config.grid_points
+        assert sum(swept) <= 4 * config.grid_points
         assert result.node_count == state[0] and result.converged
         assert abs(result.energy - reference) <= result.residual_estimate
 
@@ -381,20 +385,11 @@ class TestDefaultConfig:
         [((1, 1, [Fraction(1, 100)]), s) for s in [(0, 0), (1, 0), (0, 1), (1, 2)]]
         + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
     )
-    def test_sweep_budget(self, monkeypatch, problem, state):
+    def test_sweep_budget(self, swept, problem, state):
         """The sweeps are the solver's whole cost; count them, not seconds."""
-        sweeps = 0
-        sweep = oracle._integrate
-
-        def counted(*args):
-            nonlocal sweeps
-            sweeps += 1
-            return sweep(*args)
-
-        monkeypatch.setattr(oracle, "_integrate", counted)
         potential = make_potential(*problem)
         solve_radial(potential, default_config(potential, make_state(*state)))
-        assert sweeps <= 30  # fine and half grid together
+        assert len(swept) <= 30  # every rung together
 
     @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
     @pytest.mark.parametrize(

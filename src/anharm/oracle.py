@@ -7,10 +7,12 @@ function of E that jumps by one exactly at each box eigenvalue, where the
 boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
 bracket holds only that jump isolates the level with n radial nodes without
 ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
-count deciding which end moves, then converge on it.  Grids of 1/16, 1/8,
-1/4, 1/2 and all of the configured size find the level one from the other,
-and Richardson extrapolation of Numerov's h^4 error gives the energy and its
-error estimate.  Everything here is floating point; it exists to validate
+count deciding which end moves, then converge on it.  A ladder of grids,
+from 1/64 of the configured size (at least 250 points) up to all of it,
+finds the level one rung from the next, each rung seeded by the h^4 law's
+prediction, and Richardson extrapolation of Numerov's h^4 error gives the
+energy and its error estimate; the climb stops once that estimate is within
+4 tolerances.  Everything here is floating point; it exists to validate
 the exact series from the outside.  numpy is imported inside the functions
 that build arrays, so importing this module does not load it; the first
 solve does.
@@ -31,8 +33,11 @@ _LN2 = math.log(2.0)
 # WKB decay, integral of sqrt(2m (V_eff - E)) dr, that the default box adds
 # beyond the outer turning point of the upper bracket energy.
 _DECAY_MARGIN = 20.0
-# Half width, relative to max(omega, |E|), of a seeded solve's first bracket.
+# Half width, relative to max(omega, |E|), of the second rung's first bracket.
 _SEED_WIDTH = 1e-7
+# Fewest points on the first rung: from 250 points on, successive differences
+# of the rungs' levels shrink by 15.1-16.1, the h^4 law's 16.
+_FIRST_RUNG = 250
 
 
 class OracleError(Exception):
@@ -100,15 +105,16 @@ def _floats(potential: PotentialSpec):
     return values[0], values[1], values[2], values[3:]
 
 
-def _v_eff(potential: PotentialSpec, l: int, r):
-    """l(l+1)/(2m r^2) + V(r), the effective radial potential, on the array r.
+def _v_eff(floats, l: int, r):
+    """l(l+1)/(2m r^2) + V(r), the effective radial potential, on the array r,
+    from the potential's _floats.
 
     Built in place: r, one scratch array and the result are the only arrays
     of grid size alive at once.
     """
     import numpy as np
 
-    m, omega, _, couplings = _floats(potential)
+    m, omega, _, couplings = floats
     r2 = r * r
     v = (l * (l + 1) / (2.0 * m)) / r2
     r2 *= 0.5 * m * omega ** 2
@@ -148,11 +154,12 @@ def default_config(
     """
     import numpy as np
 
-    m, omega, mw, _ = _floats(potential)
+    floats = _floats(potential)
+    m, omega, mw, _ = floats
     length = 1.0 / math.sqrt(mw)
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
-        v = _v_eff(potential, state.l, r)
+        v = _v_eff(floats, state.l, r)
         upper = (3.0 * (2 * state.n + state.l + 1.5) + 10.0) * omega
         if bracket is not None:
             _check_bracket(*bracket)  # before the box is sized from its upper end
@@ -192,7 +199,7 @@ def default_config(
     if bracket is None:
         # The lower end moves from the scan's minimum of V_eff to the grid's.
         g = config.grid_points
-        v = _on_grid(potential, state.l, config.r_max / g, g, 1.0)
+        v = _on_grid(floats, state.l, config.r_max / g, g, 1.0)
         lowest = float(v.min())
         if lowest >= upper:
             raise ValueError(
@@ -203,7 +210,7 @@ def default_config(
     return config
 
 
-def _on_grid(potential: PotentialSpec, l: int, h: float, grid_points: int, scale: float):
+def _on_grid(floats, l: int, h: float, grid_points: int, scale: float):
     """scale * V_eff(r_j) at r_j = j h (j = 1..grid_points), as an array.
 
     numpy's overflow stays silent, as on the scan; ValueError when a value
@@ -212,14 +219,14 @@ def _on_grid(potential: PotentialSpec, l: int, h: float, grid_points: int, scale
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _v_eff(potential, l, np.arange(1, grid_points + 1) * h)
+        v = _v_eff(floats, l, np.arange(1, grid_points + 1) * h)
         v *= scale
     if not np.isfinite(v).all():
         raise ValueError("V_eff on the grid is out of the float range the solver works in")
     return v
 
 
-def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
+def _grid(floats, l: int, r_max: float, grid_points: int):
     """(h, tv, s): the step h, the energy-free part tv_j of the Numerov factor
     t_j = (h^2/12) 2m (V_eff(r_j) - E) at r_j = j h (j = 1..g), as a list, and
     the sweep start s, the least index with tv < 1 at r_(s+3): near the origin
@@ -228,11 +235,11 @@ def _grid(potential: PotentialSpec, l: int, r_max: float, grid_points: int):
     import numpy as np
 
     h = r_max / grid_points
-    tv = _on_grid(potential, l, h, grid_points, h * h / 6.0 * _floats(potential)[0])
+    tv = _on_grid(floats, l, h, grid_points, h * h / 6.0 * floats[0])
     return h, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
 
 
-def _integrate(potential, state, energy, h, tv, s):
+def _integrate(floats, state, energy, h, tv, s):
     """One outward Numerov sweep in summed form.
 
     Returns (interior node count, log |u(r_max)|), the log taken of the
@@ -243,7 +250,7 @@ def _integrate(potential, state, energy, h, tv, s):
     The solution is rescaled in the forbidden region to avoid overflow, which
     changes neither node locations nor the boundary sign.
     """
-    m, omega, l = *_floats(potential)[:2], state.l
+    (m, omega, _, _), l = floats, state.l
     c = h * h / 6.0 * m * energy
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
@@ -278,10 +285,10 @@ def _integrate(potential, state, energy, h, tv, s):
     return nodes, math.log(abs(u) or 5e-324) + rescales * _LOG_RESCALE
 
 
-def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket):
+def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     """Shrink `bracket` around the energy where the node count jumps past n.
 
-    Sweeps the config's state and box on `grid_points` points.  First bisects
+    Sweeps the config's state on `grid`, the (h, tv, s) of _grid.  First bisects
     on the node count until nodes(lo) = n and nodes(hi) = n + 1, which
     isolates the level.  Then takes Illinois steps on the boundary value
     u(r_max; E), whose zero is where the count jumps: regula falsi on |u| via
@@ -293,10 +300,10 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
     """
     state, tolerance = config.target_state, config.tolerance
     n = state.n
-    h, tv, s = _grid(potential, state.l, config.r_max, grid_points)
+    h, tv, s = grid
     lo, hi = bracket
-    nodes_lo, size_lo = _integrate(potential, state, lo, h, tv, s)
-    nodes_hi, size_hi = _integrate(potential, state, hi, h, tv, s)
+    nodes_lo, size_lo = _integrate(floats, state, lo, h, tv, s)
+    nodes_hi, size_hi = _integrate(floats, state, hi, h, tv, s)
     if nodes_lo > n:
         raise BracketingFailure(
             f"lower bracket energy {lo} already has {nodes_lo} nodes (want {n})"
@@ -332,7 +339,7 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
             if not lo < energy < hi:
                 energy, falsi = mid, False
         widths = [widths[1], hi - lo]
-        count, size = _integrate(potential, state, energy, h, tv, s)
+        count, size = _integrate(floats, state, energy, h, tv, s)
         if count > n:
             if run == 1:
                 size_lo -= _LN2
@@ -347,14 +354,16 @@ def _bisect_on_nodes(potential, config: OracleConfig, grid_points: int, bracket)
     return 0.5 * (lo + hi), nodes_lo
 
 
-def _seeded(potential, config: OracleConfig, grid_points: int, energy: float):
-    """_bisect_on_nodes from energy +- _SEED_WIDTH max(omega, |E|) or +- the
-    tolerance, or from the configured bracket when that misses the level."""
-    seed = max(_SEED_WIDTH * max(_floats(potential)[1], abs(energy)), config.tolerance)
-    try:
-        return _bisect_on_nodes(potential, config, grid_points, (energy - seed, energy + seed))
-    except BracketingFailure:
-        return _bisect_on_nodes(potential, config, grid_points, config.bracket)
+def _seeded(floats, config: OracleConfig, grid, energy: float, width: float):
+    """_bisect_on_nodes from energy +- width, the width 16 times wider after
+    each bracket that misses the level, at most four times, and then from the
+    configured bracket."""
+    for _ in range(5):
+        try:
+            return _bisect_on_nodes(floats, config, grid, (energy - width, energy + width))
+        except BracketingFailure:
+            width *= 16.0
+    return _bisect_on_nodes(floats, config, grid, config.bracket)
 
 
 def _richardson(coarse: float, fine: float) -> float:
@@ -365,28 +374,49 @@ def _richardson(coarse: float, fine: float) -> float:
 def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult:
     """Eigenvalue with exactly n interior nodes and r^(l+1) origin behavior.
 
-    Grids of g/16, g/8, g/4, g/2 and g = grid_points points solve in turn at
-    the configured tolerance, the first from the configured bracket, each
-    later one seeded by the one below.  Numerov's energy error is O(h^4), so
-    R(a, b) = E_b + (E_b - E_a) / 15 removes it from the energies on grids a
-    and twice as fine.  From the third rung on, once the newest rung counts n
-    nodes and its last three energies a, b, c lie within twice the tolerance
-    or obey the h^4 law a - b = 16 (b - c) to within |b - c| (a ratio in
-    [15, 17]) plus 17 tolerances (each energy lies anywhere within half the
-    tolerance of its grid's level), the solve returns R(b, c), with the
-    estimate |R(b, c) - R(a, b)|, at least twice the tolerance.  Otherwise it
-    returns the g grid's energy, estimated by its distance to the g/2 grid's.
-    An error below g/2 drops the energies so far, and the next rung searches
-    the configured bracket; errors on g/2 and g are the solve's own.
+    Rungs of g/64, g/32, ..., g = grid_points points, from the coarsest with
+    at least _FIRST_RUNG points, solve in turn at the tolerance, raised to 4
+    ulp of the larger bracket end when below it.  The first searches the
+    configured bracket, the second the first's energy +- _SEED_WIDTH
+    max(omega, |E|) (at least +- the tolerance), and each later one the h^4
+    prediction c - (b - c) / 16 from the last two energies +- |b - c| / 32
+    plus 2 tolerances; _seeded widens a seed that misses.  Three successive
+    energies a, b, c obey the h^4 law when they lie within 2 tolerances or
+    a - b = 16 (b - c) to within |b - c| plus 17 tolerances (each energy lies
+    anywhere within half the tolerance of its grid's level) and the newest
+    rung counts n nodes.  Their level is R(b, c) (_richardson), with the
+    estimate |R(b, c) - R(a, b)|, at least 2 tolerances; the solve returns
+    it once the estimate is at most 4 tolerances, or on the g rung whatever
+    it is.  With no such triple on the g rung it returns the g energy,
+    estimated by its distance to the g/2 energy.  A rung below g/2 is
+    skipped without a sweep where t = (h^2/12) 2m (V_eff - E) reaches 1 past
+    the sweep start at the lowest energy it would search first; a skip or an
+    error there drops the energies so far, and the next rung searches the
+    configured bracket.  Errors on g/2 and g are the solve's own.
     """
-    g, n, tol = config.grid_points, config.target_state.n, config.tolerance
+    floats = _floats(potential)
+    g, (n, l), (lo, hi) = config.grid_points, config.target_state, config.bracket
+    tol = max(config.tolerance, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    config = config._replace(tolerance=tol)
     energies = []
-    for size in (g // 16, g // 8, g // 4, g // 2, g):
+    for size in [g >> k for k in range(6, -1, -1) if g >> k >= _FIRST_RUNG]:
         try:
-            if energies:
-                energy, node_count = _seeded(potential, config, size, energies[-1])
+            h, tv, s = grid = _grid(floats, l, config.r_max, size)
+            if len(energies) > 1:
+                b, c = energies[-2:]
+                seed = c - (b - c) / 16.0, abs(b - c) / 32.0 + 2.0 * tol
+            elif energies:
+                seed = energies[0], max(_SEED_WIDTH * max(floats[1], abs(energies[0])), tol)
             else:
-                energy, node_count = _bisect_on_nodes(potential, config, size, config.bracket)
+                seed = None
+            # Where t = tv - (h^2/6) m E reaches 1, U = y / (1 - t) flips sign.
+            bottom = seed[0] - seed[1] if seed else lo
+            if size < g // 2 and (max(islice(tv, s + 2, None))
+                                  - h * h / 6.0 * floats[0] * bottom >= 1.0):
+                energies = []
+                continue
+            energy, node_count = (_seeded(floats, config, grid, *seed) if seed
+                                  else _bisect_on_nodes(floats, config, grid, config.bracket))
         except (OracleError, ValueError):
             if size >= g // 2:
                 raise
@@ -401,9 +431,10 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
         # rungs' own errors: |d_a| + 17 |d_b| + 16 |d_c| <= 17 tol.
         if (max(a, b, c) - min(a, b, c) <= 2.0 * tol
                 or abs(a - b - 16.0 * (b - c)) <= abs(b - c) + 17.0 * tol):
-            energy = _richardson(b, c)
-            estimate = max(abs(energy - _richardson(a, b)), 2.0 * tol)
-            return OracleResult(energy, node_count, estimate, converged=True)
+            level = _richardson(b, c)
+            estimate = max(abs(level - _richardson(a, b)), 2.0 * tol)
+            if estimate <= 4.0 * tol or size == g:
+                return OracleResult(level, node_count, estimate, converged=True)
     estimate = max(abs(energy - energies[-2]), 2.0 * tol)
     return OracleResult(energy, node_count, estimate, converged=node_count == n)
 

@@ -393,6 +393,15 @@ class TestValidate:
         assert doc["oracle"]["converged"] is True
         assert all(d < 1e-9 for d in doc["comparison"]["deviations"])
 
+    def test_stiff_oscillator_meets_the_tolerance_floor(self, capsys):
+        # The level 15000 lies above 8192, where the default 1e-12 is less
+        # than an ulp; the solver raises the tolerance to what floats resolve.
+        code, out, _ = run_cli(capsys, ["validate", "--omega", "10000", "--order", "2"])
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["converged"] is True
+        assert abs(oracle["energy"] - 15000) <= oracle["residual"]
+
     def test_quartic_with_pade(self, capsys):
         code, out, _ = run_cli(
             capsys,

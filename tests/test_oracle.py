@@ -84,6 +84,15 @@ def swept(monkeypatch):
     return sizes
 
 
+def _rung_position(seen, grid):
+    """Position, counted from the coarsest, of the rung on `grid` among the
+    rung sizes in `seen`, the sizes so far in the order they were first met."""
+    size = len(grid[1])
+    if size not in seen:
+        seen.append(size)
+    return seen.index(size)
+
+
 def _solve(potential, n, l, grid_points=5000, tolerance=1e-11):
     state = make_state(n, l)
     config = default_config(potential, state, grid_points=grid_points, tolerance=tolerance)
@@ -120,8 +129,9 @@ class TestHarmonicSpectrum:
         assert result.node_count == n
         assert abs(result.energy - exact) <= result.residual_estimate + 1e-11
         # One sweep at the level, in a box that ends at its turning point sqrt(2E).
-        h, tv, s = oracle._grid(HARMONIC, l, math.sqrt(2 * result.energy), 4000)
-        assert oracle._integrate(HARMONIC, state, result.energy, h, tv, s)[0] == n
+        floats = oracle._floats(HARMONIC)
+        h, tv, s = oracle._grid(floats, l, math.sqrt(2 * result.energy), 4000)
+        assert oracle._integrate(floats, state, result.energy, h, tv, s)[0] == n
 
     def test_large_l_eigenfunction(self):
         # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301),
@@ -131,8 +141,9 @@ class TestHarmonicSpectrum:
         result = solve_radial(HARMONIC, config)
         assert result.node_count == 0
         assert abs(result.energy - 301.5) <= result.residual_estimate
-        h, tv, s = oracle._grid(HARMONIC, 300, config.r_max, 4000)
-        _, size = oracle._integrate(HARMONIC, state, config.bracket[0], h, tv, s)
+        floats = oracle._floats(HARMONIC)
+        h, tv, s = oracle._grid(floats, 300, config.r_max, 4000)
+        _, size = oracle._integrate(floats, state, config.bracket[0], h, tv, s)
         assert size > oracle._LOG_RESCALE  # at least one rescale
 
 
@@ -153,8 +164,8 @@ class TestGridRefinement:
         assert abs(fine.energy - coarse.energy) < coarse.residual_estimate
 
     def test_half_grid_below_minimum_fine_grid(self):
-        # At the 1000-point minimum the rungs below 500 points count spurious
-        # nodes and fail, so the estimate is the distance to the 500-point
+        # At the 1000-point minimum the 250-point rung cannot resolve the well
+        # and is skipped, so the estimate is the distance to the 500-point
         # rung: a rung as fine as the configured grid would leave only the
         # 2 * tolerance floor.
         config = OracleConfig(
@@ -166,7 +177,7 @@ class TestGridRefinement:
 
     def test_half_grid_level_outside_seed_bracket(self):
         # A coarse box step: the configured grid's level lies beyond the half
-        # grid's energy +- 1e-7 max(1, |E|), so its solve widens to the bracket.
+        # grid's energy +- 1e-7 max(1, |E|), so its seed bracket widens.
         config = OracleConfig(
             r_max=52.0, grid_points=2000, target_state=make_state(0, 0),
             bracket=(0.0, 14.5), tolerance=1e-10,
@@ -176,18 +187,33 @@ class TestGridRefinement:
         assert result.residual_estimate > 1.5e-7
         assert abs(result.energy - 1.5) < result.residual_estimate
         # Pinned bit for bit: the solve must keep its floating-point operations in order.
-        assert result.energy.hex() == "0x1.7fffffca567afp+0"
-        assert result.residual_estimate.hex() == "0x1.8b27d1b800000p-23"
+        assert result.energy.hex() == "0x1.7fffffca71385p+0"
+        assert result.residual_estimate.hex() == "0x1.8b35306800000p-23"
+
+    def test_rung_that_cannot_resolve_the_well_is_not_swept(self, swept):
+        """In a box of 52 the Numerov factor t = (h^2/12) 2m (V_eff - E) at
+        E = 0 peaks at 9.7 on 250 points and at 2.4 on 500, where
+        U = y/(1 - t) flips sign from step to step and counts spurious nodes.
+        Those rungs are skipped without a sweep; the 1000- and 2000-point
+        rungs solve."""
+        config = OracleConfig(
+            r_max=52.0, grid_points=2000, target_state=make_state(0, 0), bracket=(0.0, 14.5),
+        )
+        result = solve_radial(HARMONIC, config)
+        assert set(swept) == {1000, 2000}
+        assert result.node_count == 0 and result.converged
+        assert abs(result.energy - 1.5) <= result.residual_estimate
 
 
 class TestLadder:
-    """The ladder climbs g/16, g/8, g/4, g/2 and g, the configured grid."""
+    """The ladder climbs from g/64, or the coarsest rung of at least 250
+    points, to g, the configured grid, doubling the points on each rung."""
 
     @pytest.mark.parametrize("grid_points", [2000, 4000])
     @pytest.mark.parametrize("state", WEAK_STATES)
     def test_small_grid_weak_coupling(self, swept, grid_points, state):
         """Below the default grid: the eighth-size, configured and half-size
-        grid search that these grids ran before swept up to 24.8 grid sizes."""
+        grid search that these grids once ran swept up to 24.8 grid sizes."""
         config = default_config(WEAK, make_state(*state), grid_points=grid_points)
         result = solve_radial(WEAK, config)
         assert result.node_count == state[0] and result.converged
@@ -205,17 +231,18 @@ class TestLadder:
     def test_coarse_failure_solves_from_the_configured_bracket(self, monkeypatch):
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect = oracle._bisect_on_nodes
-        calls = []
+        calls, seen = [], []
 
-        def coarse_fails(potential, config, grid_points, bracket):
-            calls.append((grid_points, bracket))
-            if grid_points == config.grid_points // 16:
-                raise BracketingFailure("no level on the coarse grid")
-            return bisect(potential, config, grid_points, bracket)
+        def first_fails(floats, config, grid, bracket):
+            calls.append((len(grid[1]), bracket))
+            if _rung_position(seen, grid) == 0:
+                raise BracketingFailure("no level on the first rung")
+            return bisect(floats, config, grid, bracket)
 
-        monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_fails)
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", first_fails)
         result = solve_radial(WEAK, config)
-        assert calls[:2] == [(250, config.bracket), (500, config.bracket)]
+        assert calls[:2] == [(seen[0], config.bracket), (seen[1], config.bracket)]
+        assert seen[1] == 2 * seen[0]
         assert result.node_count == 1 and result.converged
         assert abs(result.energy - _weak_reference((1, 1))) <= result.residual_estimate
 
@@ -225,10 +252,11 @@ class TestLadder:
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect = oracle._bisect_on_nodes
 
-        def fine_fails(potential, config, grid_points, bracket):
-            if grid_points < 2000 or grid_points == fails_at:
-                raise NotConverged(f"no level on {grid_points} points")
-            return bisect(potential, config, grid_points, bracket)
+        def fine_fails(floats, config, grid, bracket):
+            size = len(grid[1])
+            if size < 2000 or size == fails_at:
+                raise NotConverged(f"no level on {size} points")
+            return bisect(floats, config, grid, bracket)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", fine_fails)
         with pytest.raises(NotConverged, match=f"no level on {fails_at} points"):
@@ -236,17 +264,17 @@ class TestLadder:
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_coarse_neighbour_level_is_not_taken(self, monkeypatch, shift):
-        # The g/16 rung returns the level below or above; the g/8 grid's node
-        # counts refuse the seed bracket around it.
+        # The first rung returns the level below or above; the second rung's
+        # node counts refuse the seed brackets around it.
         neighbour = make_state(1 + shift, 1)
         wrong = solve_radial(WEAK, default_config(WEAK, neighbour, grid_points=4000))
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
-        bisect = oracle._bisect_on_nodes
+        bisect, seen = oracle._bisect_on_nodes, []
 
-        def coarse_neighbour(potential, config, grid_points, bracket):
-            if grid_points == config.grid_points // 16:
+        def coarse_neighbour(floats, config, grid, bracket):
+            if _rung_position(seen, grid) == 0:
                 return wrong.energy, neighbour.n
-            return bisect(potential, config, grid_points, bracket)
+            return bisect(floats, config, grid, bracket)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_neighbour)
         result = solve_radial(WEAK, config)
@@ -255,23 +283,30 @@ class TestLadder:
 
 
 class TestRichardsonLadder:
-    """On the default grid, R(g/8, g/4) from the 1/16-, 1/8- and 1/4-size grids."""
+    """On the default grid, R(b, c) from the first three successive rungs that
+    obey the h^4 law with an estimate of at most 4 tolerances."""
 
     @pytest.mark.parametrize("state", HARMONIC_STATES)
-    def test_harmonic_exact_levels(self, state):
-        result = solve_radial(HARMONIC, default_config(HARMONIC, make_state(*state)))
+    def test_harmonic_exact_levels(self, swept, state):
+        config = default_config(HARMONIC, make_state(*state))
+        result = solve_radial(HARMONIC, config)
         exact = 2 * state[0] + state[1] + 1.5
         assert result.node_count == state[0]
         assert abs(result.energy - exact) <= result.residual_estimate <= 1e-11
+        assert sum(swept) <= 2.5 * config.grid_points
 
     @pytest.mark.parametrize("state", [(2, 1), (3, 0)])
-    def test_wrong_sign_extrapolation_fails(self, monkeypatch, state):
+    def test_wrong_sign_extrapolation_fails(self, monkeypatch, swept, state):
         """The companion of test_harmonic_exact_levels: with the sign of the
-        h^4 correction flipped the level is off by 1.4e-10 and 3.4e-10."""
+        h^4 correction flipped, R(b, c) - R(a, b) is 14 (c - b) instead of
+        about 0, so no rung below the configured grid meets 4 tolerances and
+        the solve sweeps the configured grid to the end."""
         monkeypatch.setattr(oracle, "_richardson", lambda coarse, fine: fine - (fine - coarse) / 15)
-        result = solve_radial(HARMONIC, default_config(HARMONIC, make_state(*state)))
+        config = default_config(HARMONIC, make_state(*state))
+        result = solve_radial(HARMONIC, config)
         exact = 2 * state[0] + state[1] + 1.5
-        assert not abs(result.energy - exact) <= result.residual_estimate <= 1e-11
+        assert not (abs(result.energy - exact) <= result.residual_estimate <= 1e-11
+                    and sum(swept) <= 2.5 * config.grid_points)
 
     @pytest.mark.parametrize("state", WEAK_STATES)
     def test_weak_coupling_reference(self, state):
@@ -285,22 +320,25 @@ class TestRichardsonLadder:
     @pytest.mark.parametrize("fault", ["shift", "error"])
     @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
     def test_no_h4_law_returns_the_configured_grid(self, monkeypatch, fault, state):
-        """The 1/4-size rung moves by 1e-9, far off the h^4 law and far beyond
-        the tolerance from the other rungs, or raises: no triple obeys the law,
-        and the solve returns the configured grid's level, estimated by its
-        distance to the half-size grid's."""
+        """Every rung below the configured grid moves by 1e-9, up and down in
+        turn, far off the h^4 law and far beyond the tolerance from its
+        neighbours, or every rung below the half-size grid raises: no triple
+        obeys the law, and the solve returns the configured grid's level,
+        estimated by its distance to the half-size grid's."""
         config = default_config(WEAK, make_state(*state))
-        g, bisect = config.grid_points, oracle._bisect_on_nodes
+        g, bisect, seen = config.grid_points, oracle._bisect_on_nodes, []
         energies = {}
 
-        def quarter_off(potential, config, grid_points, bracket):
-            if grid_points == g // 4 and fault == "error":
-                raise NotConverged("no level on the quarter-size grid")
-            level, nodes = bisect(potential, config, grid_points, bracket)
-            energies[grid_points] = level + (1e-9 if grid_points == g // 4 else 0.0)
-            return energies[grid_points], nodes
+        def off_the_law(floats, config, grid, bracket):
+            size, position = len(grid[1]), _rung_position(seen, grid)
+            if size < g // 2 and fault == "error":
+                raise NotConverged(f"no level on {size} points")
+            level, nodes = bisect(floats, config, grid, bracket)
+            shift = (-1) ** position * 1e-9 if size < g and fault == "shift" else 0.0
+            energies[size] = level + shift
+            return energies[size], nodes
 
-        monkeypatch.setattr(oracle, "_bisect_on_nodes", quarter_off)
+        monkeypatch.setattr(oracle, "_bisect_on_nodes", off_the_law)
         result = solve_radial(WEAK, config)
         assert result.energy == energies[g] and result.node_count == state[0]
         assert result.residual_estimate == max(abs(energies[g] - energies[g // 2]), 2e-12)
@@ -310,21 +348,25 @@ class TestRichardsonLadder:
     def test_ladder_allows_for_where_each_rung_stopped(self, monkeypatch, swept, signs):
         """Each rung energy is the midpoint of a bracket no wider than the
         tolerance, so it may lie anywhere within half the tolerance of its
-        grid's level.  At v_1 = 1/100, (0,0), E_8 - E_4 is only -6.75e-12, and
-        moving the three rungs by 0.45 tolerance gives ratios of 14.0-18.6:
-        the ladder's level must still be taken, and be right."""
+        grid's level.  At v_1 = 1/100, (0,0), the third to fifth rungs (1000,
+        2000 and 4000 points) differ by 1.08e-10 and then only 6.75e-12.  The
+        first two rungs fail, so the climb starts at the third, and moving the
+        three by 0.45 tolerance gives ratios of 14.0-18.6: the ladder's level
+        must still be taken there, before the configured grid, and be right."""
         config = default_config(WEAK, make_state(0, 0))
-        g = config.grid_points
-        shift = dict(zip((g // 16, g // 8, g // 4), (0.45 * s * config.tolerance for s in signs)))
-        bisect = oracle._bisect_on_nodes
+        shift = dict(zip((2, 3, 4), (0.45 * s * config.tolerance for s in signs)))
+        bisect, seen = oracle._bisect_on_nodes, []
 
-        def shifted(potential, config, grid_points, bracket):
-            energy, nodes = bisect(potential, config, grid_points, bracket)
-            return energy + shift.get(grid_points, 0.0), nodes
+        def shifted(floats, config, grid, bracket):
+            position = _rung_position(seen, grid)
+            if position < 2:
+                raise NotConverged(f"no level on rung {position}")
+            energy, nodes = bisect(floats, config, grid, bracket)
+            return energy + shift.get(position, 0.0), nodes
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", shifted)
         result = solve_radial(WEAK, config)
-        assert sum(swept) <= 4 * g
+        assert config.grid_points not in swept
         assert abs(result.energy - _weak_reference((0, 0))) <= result.residual_estimate <= 1e-11
 
     @pytest.mark.parametrize(
@@ -334,7 +376,8 @@ class TestRichardsonLadder:
     )
     def test_points_budget(self, swept, problem, state):
         """The states of test_sweep_budget: the eighth, fine and half-size
-        grids swept 7.9-10.4 grid sizes, the ladder sweeps 2.5-2.9."""
+        grids swept 7.9-10.4 grid sizes, a ladder from g/16 2.5-2.9, and the
+        ladder from g/64 sweeps 0.67-2.25."""
         potential = make_potential(*problem)
         config = default_config(potential, make_state(*state))
         solve_radial(potential, config)
@@ -343,9 +386,9 @@ class TestRichardsonLadder:
     @pytest.mark.parametrize("state", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
     def test_unit_length_oscillator(self, swept, state):
         """m = 10^6, omega = 10^-6, v_1 = 10^-8 is v_1 = 1/100 in oscillator
-        units, at energies ~1e-6.  The three rungs agree to within the 1e-12
+        units, at energies ~1e-6.  The rungs agree to within the 1e-12
         tolerance, so their ratio is noise and the ladder's level is taken;
-        a climb past the 1/4-size grid would sweep more than 4 grid sizes."""
+        a climb to the configured grid would sweep more than 4 grid sizes."""
         reference = 1e-6 * _weak_reference(state)
         potential = make_potential(10**6, Fraction(1, 10**6), [Fraction(1, 10**8)])
         config = default_config(potential, make_state(*state))
@@ -386,23 +429,27 @@ class TestDefaultConfig:
         + [((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1))],
     )
     def test_sweep_budget(self, swept, problem, state):
-        """The sweeps are the solver's whole cost; count them, not seconds."""
+        """The sweeps are the solver's whole cost; count the points they cover,
+        not seconds.  Every rung together covers 0.67-2.25 configured grids."""
         potential = make_potential(*problem)
-        solve_radial(potential, default_config(potential, make_state(*state)))
-        assert len(swept) <= 30  # every rung together
+        config = default_config(potential, make_state(*state))
+        solve_radial(potential, config)
+        assert sum(swept) <= 2.5 * config.grid_points
 
     @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
     @pytest.mark.parametrize(
         "mass, omega",
         [(10**6, Fraction(1, 10**6)), (Fraction(1, 10**6), Fraction(1, 10**6)),
-         (Fraction(7, 4), Fraction(5, 3)), (1, Fraction(1, 100))],
-        ids=["unit-length", "long", "bench", "soft"],
+         (Fraction(7, 4), Fraction(5, 3)), (1, Fraction(1, 100)), (1, 10**4), (1, 10**6)],
+        ids=["unit-length", "long", "bench", "soft", "stiff", "stiffer"],
     )
     def test_oscillator_unit_scaling_law(self, mass, omega, state):
         """E(m, omega, v) = omega E(1, 1, v~) with v_1 = v~_1 m^2 omega^3.
 
         The default box and bracket follow the oscillator length and omega,
         so a unit-length oscillator far from m = omega = 1 solves as well.
+        At omega = 10^4 and 10^6 the levels lie above 8192, where 1e-12 is
+        less than an ulp: the tolerance floor lets the bisection close.
         """
         unit = _solve(make_potential(1, 1, [Fraction(1, 100)]), *state, grid_points=4000)
         scaled = make_potential(mass, omega, [Fraction(1, 100) * mass**2 * omega**3])
@@ -451,10 +498,16 @@ class TestFailureModes:
         with pytest.raises(BracketingFailure):
             default_config(pot, make_state(0, 0))
 
-    def test_unreachable_tolerance(self):
+    def test_tolerance_below_the_floor_is_raised(self):
+        """No bisection closes below an ulp of its energies: a tolerance under
+        4 ulp of the larger bracket end is raised to that, and the estimate
+        is at least twice the raised tolerance."""
         config = default_config(HARMONIC, make_state(0, 0), grid_points=1000, tolerance=1e-30)
-        with pytest.raises(NotConverged):
-            solve_radial(HARMONIC, config)
+        floor = 4 * math.ulp(max(abs(end) for end in config.bracket))
+        result = solve_radial(HARMONIC, config)
+        assert result.node_count == 0 and result.converged
+        assert 2 * floor <= result.residual_estimate
+        assert abs(result.energy - 1.5) <= result.residual_estimate
 
     def test_step_limit_names_the_step_count(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_STEPS", 3)

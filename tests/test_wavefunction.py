@@ -4,7 +4,7 @@ import pytest
 
 from anharm.engine import compute_series
 from anharm.model import make_potential, make_state
-from anharm.oracle import _grid, _integrate, default_config, solve_radial
+from anharm.oracle import _floats, _grid, _integrate, default_config, solve_radial
 from anharm.wavefunction import (
     evaluate_log_derivative,
     harmonic_d_coefficients,
@@ -131,10 +131,10 @@ class TestLogDerivativeEvaluation:
         table, _ = compute_series(pot, state, 6)
         energy = solve_radial(pot, default_config(pot, state, grid_points=8000)).energy
         steps = 10000
-        logs = []
+        floats, logs = _floats(pot), []
         for k in (-2, -1, 1, 2):
-            h, tv, s = _grid(pot, state.l, (steps + k) / steps, steps + k)
-            logs.append(_integrate(pot, state, energy, h, tv, s)[1])
+            h, tv, s = _grid(floats, state.l, (steps + k) / steps, steps + k)
+            logs.append(_integrate(floats, state, energy, h, tv, s)[1])
         numeric = (logs[0] - 8 * logs[1] + 8 * logs[2] - logs[3]) * steps / 12
         truncated = evaluate_log_derivative(table, 1.0, 6)
         assert abs(numeric - truncated) < 1e-4

@@ -11,11 +11,11 @@ count deciding which end moves, then converge on it.  A ladder of grids,
 from 1/64 of the configured size (at least 250 points) up to all of it,
 finds the level one rung from the next, each rung seeded by the h^4 law's
 prediction, and Richardson extrapolation of Numerov's h^4 error gives the
-energy and its error estimate; the climb stops once that estimate is within
-4 tolerances.  Everything here is floating point; it exists to validate
-the exact series from the outside.  numpy is imported inside the functions
-that build arrays, so importing this module does not load it; the first
-solve does.
+energy; the h^6 term that extrapolation leaves gives its error estimate, and
+the climb stops once that estimate is within 4 tolerances.  Everything here
+is floating point; it exists to validate the exact series from the outside.
+numpy is imported inside the functions that build arrays, so importing this
+module does not load it; the first solve does.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ _SEED_WIDTH = 1e-7
 # Fewest points on the first rung: from 250 points on, successive differences
 # of the rungs' levels shrink by 15.1-16.1, the h^4 law's 16.
 _FIRST_RUNG = 250
+# Numerov's error expansion is even, E(h) = E + A h^4 + B h^6 + ...  R(b, c)
+# removes A and leaves -(16/5) B h^6; R(a, b) leaves 64 times that, so the
+# error of R(b, c) is (R(b, c) - R(a, b)) / 63.  A divisor of 16 keeps a
+# margin of 4 over that.
+_H6_DIVISOR = 16.0
 
 
 class OracleError(Exception):
@@ -385,14 +390,17 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     a - b = 16 (b - c) to within |b - c| plus 17 tolerances (each energy lies
     anywhere within half the tolerance of its grid's level) and the newest
     rung counts n nodes.  Their level is R(b, c) (_richardson), with the
-    estimate |R(b, c) - R(a, b)|, at least 2 tolerances; the solve returns
-    it once the estimate is at most 4 tolerances, or on the g rung whatever
-    it is.  With no such triple on the g rung it returns the g energy,
-    estimated by its distance to the g/2 energy.  A rung below g/2 is
-    skipped without a sweep where t = (h^2/12) 2m (V_eff - E) reaches 1 past
-    the sweep start at the lowest energy it would search first; a skip or an
-    error there drops the energies so far, and the next rung searches the
-    configured bracket.  Errors on g/2 and g are the solve's own.
+    estimate |R(b, c) - R(a, b)| / _H6_DIVISOR (R(b, c)'s own h^6 error with
+    a margin of 4), at least 2 tolerances; the solve returns it once the
+    estimate is at most 4 tolerances, or on the g rung whatever it is.  With
+    no such triple on the g rung it returns the g energy, estimated by its
+    distance to the g/2 energy.  A rung below g/2 is skipped without a sweep
+    where t = (h^2/12) 2m (V_eff - E) reaches 1 past the sweep start at the
+    lowest energy it would search first; a skip or an error there drops the
+    energies so far, and the next rung searches the configured bracket.
+    Errors on g/2 and g are the solve's own; where t reaches 1 there too, an
+    OracleError names the rung and the grid_points, about g sqrt(t), that
+    would keep t below 1.
     """
     floats = _floats(potential)
     g, (n, l), (lo, hi) = config.grid_points, config.target_state, config.bracket
@@ -410,18 +418,24 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             else:
                 seed = None
             # Where t = tv - (h^2/6) m E reaches 1, U = y / (1 - t) flips sign.
-            bottom = seed[0] - seed[1] if seed else lo
-            if size < g // 2 and (max(islice(tv, s + 2, None))
-                                  - h * h / 6.0 * floats[0] * bottom >= 1.0):
+            peak = max(islice(tv, s + 2, None)) - h * h / 6.0 * floats[0] * (
+                seed[0] - seed[1] if seed else lo)
+            if size < g // 2 and peak >= 1.0:
                 energies = []
                 continue
             energy, node_count = (_seeded(floats, config, grid, *seed) if seed
                                   else _bisect_on_nodes(floats, config, grid, config.bracket))
-        except (OracleError, ValueError):
-            if size >= g // 2:
-                raise
-            energies = []
-            continue
+        except (OracleError, ValueError) as exc:
+            if size < g // 2:
+                energies = []
+                continue
+            if isinstance(exc, OracleError) and peak >= 1.0:
+                raise OracleError(
+                    f"the {size}-point rung cannot count nodes: the Numerov factor t "
+                    f"peaks at {peak:.3g} past the sweep start; about "
+                    f"{math.ceil(g * math.sqrt(peak))} grid_points would keep it below 1"
+                ) from exc
+            raise
         energies.append(energy)
         if len(energies) < 3 or node_count != n:
             continue
@@ -432,7 +446,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
         if (max(a, b, c) - min(a, b, c) <= 2.0 * tol
                 or abs(a - b - 16.0 * (b - c)) <= abs(b - c) + 17.0 * tol):
             level = _richardson(b, c)
-            estimate = max(abs(level - _richardson(a, b)), 2.0 * tol)
+            estimate = max(abs(level - _richardson(a, b)) / _H6_DIVISOR, 2.0 * tol)
             if estimate <= 4.0 * tol or size == g:
                 return OracleResult(level, node_count, estimate, converged=True)
     estimate = max(abs(energy - energies[-2]), 2.0 * tol)

@@ -586,6 +586,19 @@ class TestValidate:
         assert code == 4
         assert "BracketingFailure" in err
 
+    def test_deep_well_names_the_grid_it_needs(self, capsys):
+        # From the bracket's lower end, -1.08e6, the Numerov factor t on the
+        # 8000-point rung peaks at 2.74 near the box edge, so the sweep counts
+        # spurious nodes; the error names the grid, not the bracket.
+        argv = ["validate", "--v", "-9", "1/100", "--l", "1", "--order", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: OracleError: the 8000-point rung cannot count nodes")
+        needed = int(err.split("about ")[1].split()[0])
+        assert 26000 < needed < 27000 and "grid_points" in err
+        code, out, _ = run_cli(capsys, [*argv, "--grid-points", str(needed)])
+        assert code == 0 and json.loads(out)["oracle"]["converged"] is True
+
 
 class TestCheckHarmonic:
     def test_order_below_two_is_config_error(self, capsys):

@@ -284,7 +284,11 @@ class TestLadder:
 
 class TestRichardsonLadder:
     """On the default grid, R(b, c) from the first three successive rungs that
-    obey the h^4 law with an estimate of at most 4 tolerances."""
+    obey the h^4 law with an estimate of at most 4 tolerances.  The estimate
+    is |R(b, c) - R(a, b)| / 16: under Numerov's even error expansion
+    E + A h^4 + B h^6 the error of R(b, c) is that difference over 63, so 16
+    keeps a margin of 4.  A default solve sweeps 0.66-1.31 configured grids;
+    with |R(b, c) - R(a, b)| itself as the estimate it swept up to 2.31."""
 
     @pytest.mark.parametrize("state", HARMONIC_STATES)
     def test_harmonic_exact_levels(self, swept, state):
@@ -293,7 +297,24 @@ class TestRichardsonLadder:
         exact = 2 * state[0] + state[1] + 1.5
         assert result.node_count == state[0]
         assert abs(result.energy - exact) <= result.residual_estimate <= 1e-11
-        assert sum(swept) <= 2.5 * config.grid_points
+        assert sum(swept) <= 1.5 * config.grid_points
+
+    @pytest.mark.parametrize("grid_points", [1000, 2000])
+    @pytest.mark.parametrize(
+        "potential, state",
+        [(HARMONIC, s) for s in HARMONIC_STATES] + [(WEAK, s) for s in WEAK_STATES],
+    )
+    def test_estimate_keeps_a_margin(self, potential, state, grid_points):
+        """Below the default grid the ladder seldom meets 4 tolerances, so the
+        estimate is R(b, c)'s own: at most half of it is ever spent (0.25 at
+        most here).  Over 63, the bare h^6 term, 7 of these cases spend more
+        than half, up to 0.99."""
+        reference = (_weak_reference(state) if potential is WEAK
+                     else 2 * state[0] + state[1] + 1.5)
+        result = solve_radial(potential, default_config(potential, make_state(*state),
+                                                        grid_points=grid_points))
+        assert result.node_count == state[0] and result.converged
+        assert abs(result.energy - reference) <= result.residual_estimate / 2
 
     @pytest.mark.parametrize("state", [(2, 1), (3, 0)])
     def test_wrong_sign_extrapolation_fails(self, monkeypatch, swept, state):
@@ -306,7 +327,7 @@ class TestRichardsonLadder:
         result = solve_radial(HARMONIC, config)
         exact = 2 * state[0] + state[1] + 1.5
         assert not (abs(result.energy - exact) <= result.residual_estimate <= 1e-11
-                    and sum(swept) <= 2.5 * config.grid_points)
+                    and sum(swept) <= 1.5 * config.grid_points)
 
     @pytest.mark.parametrize("state", WEAK_STATES)
     def test_weak_coupling_reference(self, state):
@@ -376,8 +397,9 @@ class TestRichardsonLadder:
     )
     def test_points_budget(self, swept, problem, state):
         """The states of test_sweep_budget: the eighth, fine and half-size
-        grids swept 7.9-10.4 grid sizes, a ladder from g/16 2.5-2.9, and the
-        ladder from g/64 sweeps 0.67-2.25."""
+        grids swept 7.9-10.4 grid sizes, a ladder from g/16 2.5-2.9, the
+        ladder from g/64 0.67-2.25, and with the estimate over 16 it sweeps
+        0.66-1.25."""
         potential = make_potential(*problem)
         config = default_config(potential, make_state(*state))
         solve_radial(potential, config)
@@ -430,11 +452,11 @@ class TestDefaultConfig:
     )
     def test_sweep_budget(self, swept, problem, state):
         """The sweeps are the solver's whole cost; count the points they cover,
-        not seconds.  Every rung together covers 0.67-2.25 configured grids."""
+        not seconds.  Every rung together covers 0.66-1.25 configured grids."""
         potential = make_potential(*problem)
         config = default_config(potential, make_state(*state))
         solve_radial(potential, config)
-        assert sum(swept) <= 2.5 * config.grid_points
+        assert sum(swept) <= 1.5 * config.grid_points
 
     @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
     @pytest.mark.parametrize(

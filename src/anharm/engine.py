@@ -99,7 +99,7 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
 
 
 class CoefficientTable:
-    """The filled table of Laurent coefficients C[k][i], k = 0..order, i = 0..imax.
+    """The filled table of Laurent coefficients C[k][i], k = 0..order, i = 0..order-1.
 
     Row 0 is the momentum Taylor series, -sqrt(2 m V(r)) = r sum_i c_i r^(2i),
     with c_0 = -m omega and, squaring the series against 2mV term by term,
@@ -118,17 +118,9 @@ class CoefficientTable:
         self.potential = potential
         self.state = state
         self.order = len(rows) - 1
-        self.imax = self.order - 1
         self._d = d
         self._numerators = rows
         self._rows = [None] * len(rows)
-
-    def entry(self, k: int, i: int) -> Fraction:
-        """C[k][i]; row 0 is the momentum Taylor series."""
-        row = self.row(k)
-        if not 0 <= i <= self.imax:
-            raise IndexError(f"column {i} outside 0..{self.imax}")
-        return row[i]
 
     def row(self, k: int) -> tuple:
         """Row k as a tuple; row 0 is the momentum Taylor series."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import index
 
 
 class ProblemSpecError(ValueError):
@@ -74,25 +75,21 @@ class PotentialSpec(namedtuple("PotentialSpec", "mass omega anharmonic")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def coefficient(self, i: int) -> Fraction:
-        """v_i of the r^(2i+2) term; exactly zero beyond the supplied list."""
-        if i < 1:
-            raise ValueError("anharmonic index starts at 1")
-        if i <= len(self.anharmonic):
-            return self.anharmonic[i - 1]
-        return Fraction(0)
-
     @property
     def is_harmonic(self) -> bool:
         return all(v == 0 for v in self.anharmonic)
 
 
 class QuantumState(namedtuple("QuantumState", "n l")):
-    """Radial quantum number n and orbital quantum number l, both >= 0."""
+    """Radial quantum number n and orbital quantum number l, integers >= 0."""
 
     __slots__ = ()
 
     def __new__(cls, n, l):
+        try:
+            n, l = index(n), index(l)
+        except TypeError as exc:
+            raise ProblemSpecError(f"n and l must be integers, got ({n!r}, {l!r})") from exc
         if n < 0 or l < 0:
             raise NegativeQuantumNumber(f"need n >= 0 and l >= 0, got ({n}, {l})")
         return super().__new__(cls, n, l)
@@ -115,13 +112,14 @@ class EnergySeries(tuple):
 
     There is no E_0 entry: the classical energy at the well bottom is zero,
     so the expansion starts at first order.  The series is the tuple
-    (E_1, ..., E_K) of Fractions; `corrections` gives it as a plain tuple.
+    (E_1, ..., E_K) of Fractions, read as `parse_rational` reads them (so a
+    float is refused); `corrections` gives it as a plain tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, corrections):
-        self = super().__new__(cls, map(Fraction, corrections))
+        self = super().__new__(cls, map(parse_rational, corrections))
         if not self:
             raise ValueError("energy series must contain at least E_1")
         return self
@@ -132,12 +130,6 @@ class EnergySeries(tuple):
     def __repr__(self):
         return f"{type(self).__qualname__}(corrections={tuple(self)!r})"
 
-    def correction(self, k: int) -> Fraction:
-        """E_k for 1 <= k <= order."""
-        if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} outside 1..{self.order}")
-        return self[k - 1]
-
 
 def make_potential(mass, omega, anharmonic=()) -> PotentialSpec:
     """Validated potential from rationals (or "p/q" strings / ints)."""
@@ -146,4 +138,4 @@ def make_potential(mass, omega, anharmonic=()) -> PotentialSpec:
 
 def make_state(n: int, l: int) -> QuantumState:
     """Validated quantum state."""
-    return QuantumState(int(n), int(l))
+    return QuantumState(n, l)

@@ -4,9 +4,7 @@ For the pure harmonic oscillator (units hbar = m = omega = 1) every Laurent
 row collapses to a single coefficient, C_k(r) = d_k r^(1-2k), and the d_k
 close among themselves.  Integrating the log-derivative then factors the
 radial function into r^(l+1) * exp(-r^2/2) * P_n(r^2); the polynomial part is
-recovered here exactly and matches the associated Laguerre family.  For
-general potentials only pointwise evaluation of the truncated log-derivative
-is provided.
+recovered here exactly and matches the associated Laguerre family.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .engine import CoefficientTable
 from .model import QuantumState
 
 
@@ -71,23 +68,3 @@ def _integral(x: Fraction):
     """x as an int when it is one, so that the recursion runs on integers."""
     return x.numerator if x.denominator == 1 else x
 
-
-def evaluate_log_derivative(table: CoefficientTable, r: float, order: int) -> float:
-    """Truncated log-derivative sum_{k=0}^{order} C_k(r) at a point r > 0.
-
-    Evaluates the exact table coefficients in floating point; Laurent poles
-    make r <= 0 invalid, and r must be finite.
-    """
-    if not 0 < r < float("inf"):
-        raise ValueError(f"log-derivative has poles at the origin; need r > 0 and finite, got {r}")
-    if not 0 <= order <= table.order:
-        raise ValueError(f"order {order} outside 0..{table.order}")
-    r = float(r)
-    r2 = r * r
-    total = 0.0
-    for k in range(order + 1):
-        acc = 0.0
-        for coeff in reversed(table.row(k)):
-            acc = acc * r2 + float(coeff)
-        total += acc * r ** (1 - 2 * k)
-    return total

@@ -14,13 +14,15 @@ from anharm.engine import CoefficientTable
 from anharm.model import EnergySeries, PotentialSpec, QuantumState, make_potential, make_state
 
 
+def coefficient(potential: PotentialSpec, i: int) -> Fraction:
+    """v_i (i >= 1) of the r^(2i+2) term; exactly zero beyond the supplied list."""
+    return potential.anharmonic[i - 1] if i <= len(potential.anharmonic) else Fraction(0)
+
+
 def closed_form_corrections(potential: PotentialSpec, state: QuantumState) -> list[Fraction]:
     """E_1..E_5 from the explicit first-correction formulas (v_1..v_4 only)."""
     m, w = potential.mass, potential.omega
-    v1 = potential.coefficient(1)
-    v2 = potential.coefficient(2)
-    v3 = potential.coefficient(3)
-    v4 = potential.coefficient(4)
+    v1, v2, v3, v4 = (coefficient(potential, i) for i in range(1, 5))
     big_n = state.principal
     big_l = Fraction(state.centrifugal)
     eta = Fraction(big_n * (big_n + 1))
@@ -115,21 +117,23 @@ def riccati_residuals(table: CoefficientTable, series: EnergySeries) -> list[Fra
     row 0 squares back to 2mV, and each level k matches the derivative,
     convolution, centrifugal, and energy terms power by power.
     """
-    m = table.potential.mass
+    potential = table.potential
+    m = potential.mass
     residuals = []
-    c0 = table.row(0)
-    for i in range(table.imax + 1):
+    rows = [table.row(k) for k in range(table.order + 1)]
+    c0 = rows[0]
+    for i in range(table.order):
         acc = sum(c0[p] * c0[i - p] for p in range(i + 1))
-        expected = m * m * table.potential.omega**2 if i == 0 else 2 * m * table.potential.coefficient(i)
+        expected = m * m * potential.omega**2 if i == 0 else 2 * m * coefficient(potential, i)
         residuals.append(acc - expected)
     for k in range(1, table.order + 1):
-        for i in range(table.imax + 1):
-            acc = (3 - 2 * k + 2 * i) * table.entry(k - 1, i)
+        for i in range(table.order):
+            acc = (3 - 2 * k + 2 * i) * rows[k - 1][i]
             for j in range(0, k + 1):
                 for p in range(i + 1):
-                    acc += table.entry(j, p) * table.entry(k - j, i - p)
+                    acc += rows[j][p] * rows[k - j][i - p]
             if i == k - 1:
-                acc += 2 * m * series.correction(k)
+                acc += 2 * m * series[k - 1]
             if k == 2 and i == 0:
                 acc -= table.state.centrifugal
             residuals.append(acc)

@@ -52,17 +52,17 @@ def test_criterion_2_harmonic_exactness():
         for l in range(11):
             state = make_state(n, l)
             _, series = compute_series(scaled, state, 15)
-            if series.correction(1) != Fraction(2 * n + l + 1, 1) * omega + omega / 2:
+            if series[0] != Fraction(2 * n + l + 1, 1) * omega + omega / 2:
                 failures.append((n, l, 1))
-            if any(series.correction(k) != 0 for k in range(2, 16)):
+            if any(series[k - 1] != 0 for k in range(2, 16)):
                 failures.append((n, l, "tail"))
             table, unit_series = compute_series(unit, state, 15)
-            if unit_series.correction(1) != Fraction(2 * (2 * n) + 2 * l + 3, 2):
+            if unit_series[0] != Fraction(2 * (2 * n) + 2 * l + 3, 2):
                 failures.append((n, l, "unit E1"))
-            if any(unit_series.correction(k) != 0 for k in range(2, 16)):
+            if any(unit_series[k - 1] != 0 for k in range(2, 16)):
                 failures.append((n, l, "unit tail"))
             d = harmonic_d_coefficients(state, 15)
-            if any(table.entry(k, 0) != d[k] for k in range(1, 16)):
+            if any(table.row(k)[0] != d[k] for k in range(1, 16)):
                 failures.append((n, l, "d_k"))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0
@@ -145,7 +145,7 @@ def test_criterion_4_oracle_agreement_at_weak_coupling():
                 undetected.append((n, l, str(factor)))
         lines.append(
             f"({n},{l}): S_8={sums[7]:.12f} S_9={sums[8]:.12f} E={energy:.12f} "
-            f"res={slack:.1e} (S_8-E)/E_9={(sums[7] - energy) / float(series.correction(9)):.3f}"
+            f"res={slack:.1e} (S_8-E)/E_9={(sums[7] - energy) / float(series[8]):.3f}"
         )
     residual_ok = all(result.residual_estimate < 1e-10 for *_, result in rows)
     runtime_ok = elapsed < 30.0

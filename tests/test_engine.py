@@ -9,7 +9,7 @@ from anharm.engine import EngineError, OrderTooLarge, _halve, _momentum_row, com
 from anharm.model import make_potential, make_state
 from anharm.wavefunction import harmonic_d_coefficients
 
-from conftest import closed_form_corrections, random_problem, riccati_residuals
+from conftest import closed_form_corrections, coefficient, random_problem, riccati_residuals
 
 
 def binomial_sqrt_momentum(potential, imax):
@@ -22,7 +22,7 @@ def binomial_sqrt_momentum(potential, imax):
     m, w = potential.mass, potential.omega
     u = [Fraction(0)] * (imax + 1)
     for i in range(1, imax + 1):
-        u[i] = 2 * potential.coefficient(i) / (m * w**2)
+        u[i] = 2 * coefficient(potential, i) / (m * w**2)
 
     def poly_mul(a, b):
         out = [Fraction(0)] * (imax + 1)
@@ -82,12 +82,12 @@ class TestMomentumCoefficients:
 class TestQuantization:
     def test_first_order_counts_zeros(self):
         pot = make_potential(1, 1, [Fraction(1, 10)])
-        assert compute_series(pot, make_state(0, 0), 1)[0].entry(1, 0) == 1
-        assert compute_series(pot, make_state(2, 1), 1)[0].entry(1, 0) == 6
+        assert compute_series(pot, make_state(0, 0), 1)[0].row(1)[0] == 1
+        assert compute_series(pot, make_state(2, 1), 1)[0].row(1)[0] == 6
 
     def test_higher_orders_vanish(self):
         pot = make_potential(1, 1, [Fraction(1, 10)])
-        assert compute_series(pot, make_state(2, 1), 5)[0].entry(5, 4) == 0
+        assert compute_series(pot, make_state(2, 1), 5)[0].row(5)[4] == 0
 
 
 class TestTableOperations:
@@ -102,14 +102,14 @@ class TestTableOperations:
         table, _ = compute_series(pot, state, 3)
         big_n = state.principal
         expected = Fraction(big_n**2 - big_n - state.centrifugal, 2 * mass * omega)
-        assert table.entry(2, 0) == expected
+        assert table.row(2)[0] == expected
 
     def test_store_bounds_checked(self):
         table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 2)
         with pytest.raises(IndexError):
-            table.entry(3, 0)
+            table.row(3)[0]
         with pytest.raises(IndexError):
-            table.entry(1, 5)
+            table.row(1)[5]
         with pytest.raises(IndexError):
             table.row(-1)
 
@@ -120,13 +120,13 @@ class TestEnergyCorrections:
         for _ in range(5):
             pot, state = random_problem(rng)
             _, series = compute_series(pot, state, 1)
-            assert series.correction(1) == Fraction(1 + 2 * state.principal, 2) * pot.omega
+            assert series[0] == Fraction(1 + 2 * state.principal, 2) * pot.omega
 
     def test_quartic_ground_state_low_orders(self):
         lam = Fraction(1, 10)
         _, series = compute_series(make_potential(1, 1, [lam]), make_state(0, 0), 3)
-        assert series.correction(2) == 15 * lam / 4
-        assert series.correction(3) == -165 * lam**2 / 8
+        assert series[1] == 15 * lam / 4
+        assert series[2] == -165 * lam**2 / 8
 
     def test_matches_closed_forms_on_random_tuples(self):
         rng = random.Random(20240817)
@@ -151,8 +151,8 @@ class TestEnergyCorrections:
 class TestSeriesProperties:
     def test_harmonic_spectrum_exact(self):
         _, series = compute_series(make_potential(1, 1), make_state(2, 3), 10)
-        assert series.correction(1) == Fraction(17, 2)
-        assert all(series.correction(k) == 0 for k in range(2, 11))
+        assert series[0] == Fraction(17, 2)
+        assert all(series[k - 1] == 0 for k in range(2, 11))
 
     def test_harmonic_spectrum_scales_with_omega(self):
         _, series = compute_series(make_potential(1, 2), make_state(1, 1), 3)
@@ -162,10 +162,10 @@ class TestSeriesProperties:
         rng = random.Random(99)
         pot = make_potential(Fraction(rng.randint(1, 8), 4), Fraction(rng.randint(1, 8), 4))
         table, series = compute_series(pot, make_state(2, 2), 8)
-        assert all(series.correction(k) == 0 for k in range(2, 9))
+        assert all(series[k - 1] == 0 for k in range(2, 9))
         for k in range(1, 9):
-            for i in range(1, table.imax + 1):
-                assert table.entry(k, i) == 0
+            for i in range(1, table.order):
+                assert table.row(k)[i] == 0
 
     def test_quantization_invariant(self):
         rng = random.Random(4)
@@ -173,7 +173,7 @@ class TestSeriesProperties:
         table, _ = compute_series(pot, state, 6)
         for k in range(1, 7):
             expected = state.principal if k == 1 else 0
-            assert table.entry(k, k - 1) == expected
+            assert table.row(k)[k - 1] == expected
 
     def test_quartic_scaling(self):
         lam = Fraction(2, 7)
@@ -181,7 +181,7 @@ class TestSeriesProperties:
         _, base = compute_series(make_potential(1, 1, [lam]), make_state(1, 1), 7)
         _, scaled = compute_series(make_potential(1, 1, [scale * lam]), make_state(1, 1), 7)
         for k in range(1, 8):
-            assert scaled.correction(k) == scale ** (k - 1) * base.correction(k)
+            assert scaled[k - 1] == scale ** (k - 1) * base[k - 1]
 
     def test_prefix_stability(self):
         pot = make_potential(1, 1, [Fraction(1, 3), Fraction(-1, 5)])
@@ -190,8 +190,8 @@ class TestSeriesProperties:
         table9, series9 = compute_series(pot, state, 9)
         assert list(series9)[:5] == list(series5)
         for k in range(1, 6):
-            for i in range(table5.imax + 1):
-                assert table9.entry(k, i) == table5.entry(k, i)
+            for i in range(table5.order):
+                assert table9.row(k)[i] == table5.row(k)[i]
 
     def test_extra_potential_terms_beyond_order_ignored(self):
         # E_K touches v_i only for i <= K-1
@@ -266,8 +266,8 @@ class TestExactProperties:
         for k in range(1, order + 1):
             # E_k / v1^(k-1) does not depend on v1, multiplied out so v1 = 0 is allowed
             assert (
-                quartic.correction(k) * other_v1 ** (k - 1)
-                == other.correction(k) * v1 ** (k - 1)
+                quartic[k - 1] * other_v1 ** (k - 1)
+                == other[k - 1] * v1 ** (k - 1)
             )
 
     @settings(max_examples=50, deadline=None)

@@ -30,8 +30,7 @@ class TestPotential:
 
     def test_quartic(self):
         pot = make_potential(1, 1, [Fraction(1, 100)])
-        assert pot.coefficient(1) == Fraction(1, 100)
-        assert pot.coefficient(2) == 0  # beyond the list: exactly zero
+        assert pot.anharmonic == (Fraction(1, 100),)
         assert not pot.is_harmonic
 
     def test_zero_omega_rejected(self):
@@ -45,7 +44,7 @@ class TestPotential:
 
     def test_negative_anharmonic_allowed(self):
         pot = make_potential(1, 1, [Fraction(-1, 2), 0, 3])
-        assert pot.coefficient(1) == Fraction(-1, 2)
+        assert pot.anharmonic == (Fraction(-1, 2), 0, 3)
 
     def test_string_inputs(self):
         pot = make_potential("3/2", "2", ["1/100"])
@@ -111,6 +110,11 @@ class TestQuantumState:
         with pytest.raises(NegativeQuantumNumber):
             make_state(0, -2)
 
+    @pytest.mark.parametrize("n,l", [(1.5, 0.9), (1.0, 0), (0, "1"), (None, 0)])
+    def test_non_integral_rejected(self, n, l):
+        with pytest.raises(ProblemSpecError, match="integers"):
+            make_state(n, l)
+
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_principal_parity(self, n, l):
         state = make_state(n, l)
@@ -122,22 +126,26 @@ class TestEnergySeries:
     def test_order_and_access(self):
         series = EnergySeries((Fraction(3, 2), Fraction(3, 80)))
         assert series.order == 2
-        assert series.correction(1) == Fraction(3, 2)
-        assert series.correction(2) == Fraction(3, 80)
+        assert series[0] == Fraction(3, 2)
+        assert series[1] == Fraction(3, 80)
         with pytest.raises(IndexError):
-            series.correction(3)
-        with pytest.raises(IndexError):
-            series.correction(0)
+            series[2]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EnergySeries(())
 
+    def test_exact_inputs_only(self):
+        assert list(EnergySeries([2, Fraction(1, 3), "-165/8"])) == [2, Fraction(1, 3), Fraction(-165, 8)]
+        for bad in (0.1, "x"):
+            with pytest.raises(ProblemSpecError):
+                EnergySeries([1, bad])
+
     def test_value_semantics(self):
         series = EnergySeries([1, "1/2"])
         same = EnergySeries((Fraction(1), Fraction(1, 2)))
         assert list(series) == [Fraction(1), Fraction(1, 2)] == list(series.corrections)
-        assert len(series) == series.order and series[1] == series.correction(2)
+        assert len(series) == series.order and series[-1] == Fraction(1, 2)
         assert series == same and hash(series) == hash(same) and series != EnergySeries([1])
         assert repr(series) == "EnergySeries(corrections=(Fraction(1, 1), Fraction(1, 2)))"
         assert copy.copy(series) == series == pickle.loads(pickle.dumps(series))

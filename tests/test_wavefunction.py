@@ -5,11 +5,7 @@ import pytest
 from anharm.engine import compute_series
 from anharm.model import make_potential, make_state
 from anharm.oracle import _floats, _grid, _integrate, default_config, solve_radial
-from anharm.wavefunction import (
-    evaluate_log_derivative,
-    harmonic_d_coefficients,
-    node_polynomial,
-)
+from anharm.wavefunction import harmonic_d_coefficients, node_polynomial
 
 
 def monic_laguerre(n: int, alpha: Fraction) -> list[Fraction]:
@@ -35,6 +31,20 @@ def monic_laguerre(n: int, alpha: Fraction) -> list[Fraction]:
     return [c / lead for c in cur]
 
 
+def log_derivative(table, r: float, order: int) -> float:
+    """Truncated log-derivative sum_{k=0}^{order} C_k(r) at r > 0, in floats.
+
+    C_k(r) = r^(1-2k) sum_i C[k][i] r^(2i), each row summed by Horner in r^2.
+    """
+    r2, total = r * r, 0.0
+    for k in range(order + 1):
+        acc = 0.0
+        for coeff in reversed(table.row(k)):
+            acc = acc * r2 + float(coeff)
+        total += acc * r ** (1 - 2 * k)
+    return total
+
+
 class TestHarmonicLogDerivative:
     def test_ground_state_is_gaussian(self):
         d = harmonic_d_coefficients(make_state(0, 0), 6)
@@ -51,7 +61,7 @@ class TestHarmonicLogDerivative:
         d = harmonic_d_coefficients(state, order)
         table, _ = compute_series(make_potential(1, 1), state, order)
         for k in range(1, order + 1):
-            assert table.entry(k, 0) == d[k]
+            assert table.row(k)[0] == d[k]
 
     def test_order_must_reach_first_closed_coefficient(self):
         with pytest.raises(ValueError):
@@ -107,20 +117,9 @@ class TestNodePolynomial:
 class TestLogDerivativeEvaluation:
     def test_harmonic_ground_state_values(self):
         table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 3)
-        assert evaluate_log_derivative(table, 1.0, 1) == pytest.approx(0.0, abs=1e-15)
-        assert evaluate_log_derivative(table, 2.0, 1) == pytest.approx(-1.5)
-        assert evaluate_log_derivative(table, 2.0, 3) == pytest.approx(-1.5)
-
-    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
-    def test_origin_side_rejected(self, r):
-        table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 2)
-        with pytest.raises(ValueError, match="r > 0"):
-            evaluate_log_derivative(table, r, 1)
-
-    def test_order_beyond_table_rejected(self):
-        table, _ = compute_series(make_potential(1, 1), make_state(0, 0), 2)
-        with pytest.raises(ValueError):
-            evaluate_log_derivative(table, 1.0, 3)
+        assert log_derivative(table, 1.0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert log_derivative(table, 2.0, 1) == pytest.approx(-1.5)
+        assert log_derivative(table, 2.0, 3) == pytest.approx(-1.5)
 
     def test_quartic_matches_numeric_eigenfunction(self):
         # Truncated series vs u'/u of the solver's sweep at the level: a
@@ -136,5 +135,5 @@ class TestLogDerivativeEvaluation:
             h, tv, s = _grid(floats, state.l, (steps + k) / steps, steps + k)
             logs.append(_integrate(floats, state, energy, h, tv, s)[1])
         numeric = (logs[0] - 8 * logs[1] + 8 * logs[2] - logs[3]) * steps / 12
-        truncated = evaluate_log_derivative(table, 1.0, 6)
+        truncated = log_derivative(table, 1.0, 6)
         assert abs(numeric - truncated) < 1e-4

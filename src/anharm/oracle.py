@@ -6,13 +6,15 @@ counting.  The interior node count of the outward solution is a monotone step
 function of E that jumps by one exactly at each box eigenvalue, where the
 boundary value u(r_max; E) changes sign.  Bisecting on "count > n" until the
 bracket holds only that jump isolates the level with n radial nodes without
-ever chasing a neighbor state; Illinois steps on u(r_max; E), with the node
+ever chasing a neighbor state; secant steps on u(r_max; E), with the node
 count deciding which end moves, then converge on it.  A ladder of grids,
 from 1/64 of the configured size (at least 250 points) up to all of it,
-finds the level one rung from the next, each rung seeded by the h^4 law's
-prediction, and Richardson extrapolation of Numerov's h^4 error gives the
-energy; the h^6 term that extrapolation leaves gives its error estimate, and
-the climb stops once that estimate is within 4 tolerances.  Everything here
+finds the level one rung from the next: the first rung is seeded at its own
+Langer-corrected WKB level, the second from the first's energy and each
+later one by the h^4 law's prediction.  Richardson extrapolation of
+Numerov's h^4 error gives the energy; the h^6 term that extrapolation
+leaves gives its error estimate, and the climb stops once that estimate is
+within 4 tolerances.  Everything here
 is floating point; it exists to validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module does not load it; the first solve does.
@@ -29,11 +31,16 @@ from .model import PotentialSpec, QuantumState
 _MAX_STEPS = 200
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
-_LN2 = math.log(2.0)
 # WKB decay, integral of sqrt(2m (V_eff - E)) dr, that the default box adds
 # beyond the outer turning point of the upper bracket energy.
 _DECAY_MARGIN = 20.0
-# Half width, relative to max(omega, |E|), of the second rung's first bracket.
+# The default upper bracket end lies within this fraction of its height above
+# the least V_eff of the least energy whose WKB phase reaches (n + 3/2) pi.
+_UPPER_SLACK = 1.0 / 32.0
+# Half width, relative to max(omega, |E|), of the first bracket on a rung
+# seeded from its own WKB level, and on the second rung, whose bracket runs up
+# from the first rung's energy: a finer grid raises a Numerov level.
+_WKB_WIDTH = 1e-2
 _SEED_WIDTH = 1e-7
 # Fewest points on the first rung: from 250 points on, successive differences
 # of the rungs' levels shrink by 15.1-16.1, the h^4 law's 16.
@@ -144,24 +151,29 @@ def default_config(
 
     The upper bracket end starts at 3 e + 10 omega, e = (2n + l + 3/2) omega
     the oscillator estimate, and doubles while its WKB phase, the integral of
-    sqrt(2m (E - V_eff)) dr, is below (n + 3/2) pi; level n lies near
-    (n + 3/4) pi.  The box radius is the outer turning point of the upper
-    bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which every
-    energy in the bracket exceeds.  Both read one scan of 2m (V_eff - E) in
-    1% steps from 1e-3 to 1e6 oscillator lengths 1/sqrt(m omega).  The lower
-    end is the minimum of V_eff on the grid, where no solution has a node.
+    sqrt(2m (E - V_eff)) dr (_phase), is below (n + 3/2) pi; level n lies
+    near (n + 3/4) pi.  Illinois steps then pull it down to within
+    _UPPER_SLACK of its height above the least V_eff of the least energy
+    whose phase reaches (n + 3/2) pi.  The box radius is the outer turning point of the
+    upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which every
+    energy in the bracket exceeds, so the box shrinks with the upper end.
+    Both read one scan of 2m (V_eff - E) in 1% steps from 1e-3 to 1e6
+    oscillator lengths 1/sqrt(m omega).  The lower end is the minimum of
+    V_eff on the grid, where no solution has a node, or the scan's, when a
+    box sized from the scan leaves no grid point below the upper end.
     Raises BracketingFailure for potentials that do not confine within the
     scan, and ValueError for what _floats refuses, for a scan that sizes box
     or bracket with a NaN V_eff, or a V_eff above every finite upper end
     (2 V_eff finite nowhere), for a V_eff on the grid that is not finite, and,
-    with no bracket given, for an r_max whose grid lies wholly at or above the
-    upper end.
+    with no bracket given, for a given r_max whose grid lies wholly at or
+    above the upper end.
     """
     import numpy as np
 
     floats = _floats(potential)
     m, omega, mw, _ = floats
     length = 1.0 / math.sqrt(mw)
+    sized = r_max is None  # the box is sized from the scan
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
         v = _v_eff(floats, state.l, r)
@@ -174,14 +186,34 @@ def default_config(
             np.isnan(v).any() or not np.isfinite(2.0 * v).any()
         ):
             raise ValueError("V_eff on the scan is out of the float range the solver works in")
-        while bracket is None:
-            k = np.sqrt(np.maximum(2.0 * m * (upper - v), 0.0))
-            phase = 0.5 * np.dot(k[1:] + k[:-1], np.diff(r))
-            if phase >= (state.n + 1.5) * math.pi:
-                break
-            upper *= 2.0
+        target, bottom = (state.n + 1.5) * math.pi, float(v.min())
+        # low and high: the phase minus the target at below and at upper.
+        below, low = bottom, -target
+        high = _phase(m, r, v, upper) - target if bracket is None else 0.0
+        while high < 0.0:
+            below, low, upper = upper, high, 2.0 * upper
             if math.isinf(upper):  # V_eff exceeds every finite upper end
                 raise ValueError("V_eff on the scan is out of the float range the solver works in")
+            high = _phase(m, r, v, upper) - target
+        # Illinois steps pull the upper end down to the least energy whose
+        # phase reaches the target: regula falsi, halving the value kept at
+        # an end that stays put twice in a row.
+        moved = 0
+        while bracket is None and upper - below > _UPPER_SLACK * (upper - bottom):
+            middle = upper - high * (upper - below) / (high - low)
+            if not below < middle < upper:  # a potential that does not confine
+                break
+            gap = _phase(m, r, v, middle) - target
+            if gap < 0.0:
+                below, low = middle, gap
+                if moved < 0:
+                    high *= 0.5
+                moved = -1
+            else:
+                upper, high = middle, gap
+                if moved > 0:
+                    low *= 0.5
+                moved = 1
         excess = 2.0 * m * (v - upper)
         if r_max is None:
             allowed = np.flatnonzero(excess < 0.0)
@@ -199,20 +231,37 @@ def default_config(
                 )
             r_max = r[allowed[-1] + 1 + beyond[0]]
     config = OracleConfig(
-        float(r_max), int(grid_points), state, bracket or (float(v.min()), upper), float(tolerance)
+        float(r_max), int(grid_points), state, bracket or (bottom, upper), float(tolerance)
     )
     if bracket is None:
         # The lower end moves from the scan's minimum of V_eff to the grid's.
+        # A grid in a box sized from the scan that misses the well below the
+        # upper end keeps the scan's: solve_radial names the grid it needs.
         g = config.grid_points
         v = _on_grid(floats, state.l, config.r_max / g, g, 1.0)
         lowest = float(v.min())
         if lowest >= upper:
+            if sized:
+                return config
             raise ValueError(
                 f"r_max {config.r_max} leaves no grid point below the upper bracket "
                 f"energy {upper}: the lowest V_eff on the grid is {lowest}"
             )
         config = config._replace(bracket=(lowest, upper))
     return config
+
+
+def _phase(m: float, r, v, energy: float) -> float:
+    """The WKB phase, the integral of sqrt(2m (E - V_eff)) dr, by the trapezoid
+    rule on the scan (r, v), read only next to the points where V_eff < E."""
+    import numpy as np
+
+    inside = np.flatnonzero(v < energy)
+    if inside.size == 0:
+        return 0.0
+    span = slice(max(inside[0] - 1, 0), inside[-1] + 2)
+    k = np.sqrt(np.maximum(2.0 * m * (energy - v[span]), 0.0))
+    return float(0.5 * np.dot(k[1:] + k[:-1], np.diff(r[span])))
 
 
 def _on_grid(floats, l: int, h: float, grid_points: int, scale: float):
@@ -293,82 +342,106 @@ def _integrate(floats, state, energy, h, tv, s):
 def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     """Shrink `bracket` around the energy where the node count jumps past n.
 
-    Sweeps the config's state on `grid`, the (h, tv, s) of _grid.  First bisects
-    on the node count until nodes(lo) = n and nodes(hi) = n + 1, which
-    isolates the level.  Then takes Illinois steps on the boundary value
-    u(r_max; E), whose zero is where the count jumps: regula falsi on |u| via
-    the log that _integrate returns, halving the value kept at one end each
-    time the end that the last regula falsi step moved moves again.  The node
-    count, not the sign, decides which end moves, and a plain bisection step
-    is taken whenever the bracket has not halved over the last two steps.
+    Sweeps the config's state on `grid`, the (h, tv, s) of _grid.  A bracket
+    that misses the level steps toward it: its end on the level's side, with
+    its node count and boundary value, becomes the far end of a bracket 16
+    times as wide, so each step sweeps one new end.  No end passes the
+    configured bracket, and a miss there raises BracketingFailure.  Then it
+    bisects on the node count until nodes(lo) = n and nodes(hi) = n + 1,
+    which isolates the level, and closes the bracket with secant steps on
+    the boundary value u(r_max; E), whose zero is where the count jumps,
+    through the two latest points: u has the sign (-1)^nodes and the log
+    size that _integrate returns.  The node count, not the sign, decides
+    which end moves.  A step that lands within half the tolerance of an end
+    is moved half the tolerance inside it, so that a point converging on the
+    level from one side closes the bracket.  A step farther outside, one
+    that two equal values leave undefined, and any step after three that did
+    not halve the bracket, bisects instead: far from the level |u| can change
+    so little from one point to the next that secant steps only creep.
     Returns (midpoint of the bracket at the config's tolerance, nodes at lo).
     """
     state, tolerance = config.target_state, config.tolerance
-    n = state.n
+    n, (floor, ceiling) = state.n, config.bracket
     h, tv, s = grid
-    lo, hi = bracket
-    nodes_lo, size_lo = _integrate(floats, state, lo, h, tv, s)
-    nodes_hi, size_hi = _integrate(floats, state, hi, h, tv, s)
-    if nodes_lo > n:
-        raise BracketingFailure(
-            f"lower bracket energy {lo} already has {nodes_lo} nodes (want {n})"
-        )
-    if nodes_hi <= n:
-        raise BracketingFailure(
-            f"upper bracket energy {hi} shows only {nodes_hi} nodes; "
-            f"no level with {n} nodes inside the bracket"
-        )
+
+    def sweep(energy):
+        return (energy, *_integrate(floats, state, energy, h, tv, s))
+
+    lo, hi = sweep(bracket[0]), sweep(bracket[1])
+    while lo[1] > n:
+        if lo[0] <= floor:
+            raise BracketingFailure(
+                f"lower bracket energy {lo[0]} already has {lo[1]} nodes (want {n})"
+            )
+        lo, hi = sweep(max(floor, lo[0] - 16.0 * (hi[0] - lo[0]))), lo
+    while hi[1] <= n:
+        if hi[0] >= ceiling:
+            raise BracketingFailure(
+                f"upper bracket energy {hi[0]} shows only {hi[1]} nodes; "
+                f"no level with {n} nodes inside the bracket"
+            )
+        lo, hi = hi, sweep(min(ceiling, hi[0] + 16.0 * (hi[0] - lo[0])))
+    prev, last = lo, hi
+    half = 0.5 * tolerance
     steps = 0
-    widths = [math.inf, math.inf]  # bracket width two steps and one step back
-    run = 0  # +1 (-1): the last regula falsi step moved hi (lo)
-    while hi - lo > tolerance:
+    widths = [math.inf] * 3  # the bracket widths of the last three steps
+    while hi[0] - lo[0] > tolerance:
         if steps >= _MAX_STEPS:
             raise NotConverged(
-                f"bracket width {hi - lo:.3e} after {steps} steps "
+                f"bracket width {hi[0] - lo[0]:.3e} after {steps} steps "
                 f"(tolerance {tolerance:.3e})"
             )
-        energy = mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        energy = 0.5 * (lo[0] + hi[0])
+        if energy <= lo[0] or energy >= hi[0]:
             raise NotConverged(
-                f"bisection stalled at machine resolution, width {hi - lo:.3e} "
+                f"bisection stalled at machine resolution, width {hi[0] - lo[0]:.3e} "
                 f"> tolerance {tolerance:.3e}"
             )
-        falsi = nodes_lo == n and nodes_hi == n + 1 and hi - lo <= 0.5 * widths[0]
-        if falsi:
-            # |u(hi)| / |u(lo)|; the two values have opposite signs.
-            ratio = math.exp(max(-700.0, min(700.0, size_hi - size_lo)))
-            # Never closer than half the tolerance to an end, so that a point
-            # converging on the level from one side closes the bracket.
-            nudge = min(0.5 * tolerance, 0.25 * (hi - lo))
-            energy = min(max(lo + (hi - lo) / (1.0 + ratio), lo + nudge), hi - nudge)
-            if not lo < energy < hi:
-                energy, falsi = mid, False
-        widths = [widths[1], hi - lo]
-        count, size = _integrate(floats, state, energy, h, tv, s)
-        if count > n:
-            if run == 1:
-                size_lo -= _LN2
-            hi, nodes_hi, size_hi = energy, count, size
+        if lo[1] == n and hi[1] == n + 1 and hi[0] - lo[0] <= 0.5 * widths[0]:
+            # u(prev) / u(last)
+            ratio = math.exp(max(-700.0, min(700.0, prev[2] - last[2])))
+            if (prev[1] - last[1]) % 2:
+                ratio = -ratio
+            if ratio != 1.0:
+                step = last[0] - (last[0] - prev[0]) / (1.0 - ratio)
+                if lo[0] - half < step < hi[0] + half:
+                    energy = min(max(step, lo[0] + half), hi[0] - half)
+        widths = [*widths[1:], hi[0] - lo[0]]
+        prev, last = last, sweep(energy)
+        if last[1] > n:
+            hi = last
         else:
-            if run == -1:
-                size_hi -= _LN2
-            lo, nodes_lo, size_lo = energy, count, size
-        if falsi:
-            run = 1 if count > n else -1
+            lo = last
         steps += 1
-    return 0.5 * (lo + hi), nodes_lo
+    return 0.5 * (lo[0] + hi[0]), lo[1]
 
 
-def _seeded(floats, config: OracleConfig, grid, energy: float, width: float):
-    """_bisect_on_nodes from energy +- width, the width 16 times wider after
-    each bracket that misses the level, at most four times, and then from the
-    configured bracket."""
-    for _ in range(5):
-        try:
-            return _bisect_on_nodes(floats, config, grid, (energy - width, energy + width))
-        except BracketingFailure:
-            width *= 16.0
-    return _bisect_on_nodes(floats, config, grid, config.bracket)
+def _wkb_level(floats, n: int, grid, upper: float) -> float:
+    """The energy at which the Langer-corrected WKB phase on `grid` is
+    (n + 1/2) pi: sqrt(12) sum_j sqrt(max(c - tv_j - 1/(48 j^2), 0)), the
+    phase of the (h, tv, s) of _grid at c = (h^2/6) m E, with l(l+1) raised
+    to (l + 1/2)^2 (Langer, Phys. Rev. 51 (1937) 669).  A few secant steps
+    from the least such c, where the phase is 0, and the energy `upper`."""
+    import numpy as np
+
+    h, tv, _ = grid
+    j = np.arange(1.0, len(tv) + 1.0)
+    w = np.array(tv) + 1.0 / (48.0 * j * j)
+    scale, target = h * h / 6.0 * floats[0], (n + 0.5) * math.pi / math.sqrt(12.0)
+
+    def excess(energy):
+        return float(np.sqrt(np.maximum(scale * energy - w, 0.0)).sum()) - target
+
+    e0, f0 = float(w.min()) / scale, -target
+    e1, f1 = upper, excess(upper)
+    for _ in range(8):
+        if f1 == f0:
+            break
+        e0, f0, e1 = e1, f1, e1 - f1 * (e1 - e0) / (f1 - f0)
+        f1 = excess(e1)
+        if abs(e1 - e0) <= 1e-6 * max(floats[1], abs(e1)):
+            break
+    return e1
 
 
 def _richardson(coarse: float, fine: float) -> float:
@@ -381,26 +454,28 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
 
     Rungs of g/64, g/32, ..., g = grid_points points, from the coarsest with
     at least _FIRST_RUNG points, solve in turn at the tolerance, raised to 4
-    ulp of the larger bracket end when below it.  The first searches the
-    configured bracket, the second the first's energy +- _SEED_WIDTH
-    max(omega, |E|) (at least +- the tolerance), and each later one the h^4
-    prediction c - (b - c) / 16 from the last two energies +- |b - c| / 32
-    plus 2 tolerances; _seeded widens a seed that misses.  Three successive
-    energies a, b, c obey the h^4 law when they lie within 2 tolerances or
-    a - b = 16 (b - c) to within |b - c| plus 17 tolerances (each energy lies
-    anywhere within half the tolerance of its grid's level) and the newest
-    rung counts n nodes.  Their level is R(b, c) (_richardson), with the
+    ulp of the larger bracket end when below it.  Each is seeded: the first
+    at its own WKB level (_wkb_level) +- _WKB_WIDTH max(omega, |E|), the
+    second from the first's energy E up to E + 2 _SEED_WIDTH max(omega, |E|)
+    (at least 2 tolerances), since a finer grid raises a Numerov level, and
+    each later one at the h^4 prediction c - (b - c) / 16 from the last two
+    energies +- |b - c| / 32 plus 2 tolerances.  Every seed is clipped to the
+    configured bracket, within which _bisect_on_nodes steps a seed that
+    misses toward the level.  Three successive energies a, b, c obey the h^4
+    law when they lie within 2 tolerances or a - b = 16 (b - c) to within
+    |b - c| plus 17 tolerances (each energy lies anywhere within half the
+    tolerance of its grid's level) and the newest rung counts n nodes.  Their level is R(b, c) (_richardson), with the
     estimate |R(b, c) - R(a, b)| / _H6_DIVISOR (R(b, c)'s own h^6 error with
     a margin of 4), at least 2 tolerances; the solve returns it once the
     estimate is at most 4 tolerances, or on the g rung whatever it is.  With
     no such triple on the g rung it returns the g energy, estimated by its
-    distance to the g/2 energy.  A rung below g/2 is skipped without a sweep
-    where t = (h^2/12) 2m (V_eff - E) reaches 1 past the sweep start at the
-    lowest energy it would search first; a skip or an error there drops the
-    energies so far, and the next rung searches the configured bracket.
-    Errors on g/2 and g are the solve's own; where t reaches 1 there too, an
-    OracleError names the rung and the grid_points, about g sqrt(t), that
-    would keep t below 1.
+    distance to the g/2 energy, as not converged.  A rung below g/2 is
+    skipped without a sweep where t = (h^2/12) 2m (V_eff - E) reaches 1 past
+    the sweep start at the lowest energy it would search first; a skip or an
+    error there drops the energies so far, and the next rung is seeded from
+    its own WKB level.  Errors on g/2 and g are the solve's own; where t
+    reaches 1 there too, an OracleError names the rung and the grid_points
+    that would keep t below 1.
     """
     floats = _floats(potential)
     g, (n, l), (lo, hi) = config.grid_points, config.target_state, config.bracket
@@ -412,28 +487,36 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             h, tv, s = grid = _grid(floats, l, config.r_max, size)
             if len(energies) > 1:
                 b, c = energies[-2:]
-                seed = c - (b - c) / 16.0, abs(b - c) / 32.0 + 2.0 * tol
+                energy, width = c - (b - c) / 16.0, abs(b - c) / 32.0 + 2.0 * tol
             elif energies:
-                seed = energies[0], max(_SEED_WIDTH * max(floats[1], abs(energies[0])), tol)
+                width = max(_SEED_WIDTH * max(floats[1], abs(energies[0])), tol)
+                energy = energies[0] + width
             else:
-                seed = None
+                energy = _wkb_level(floats, n, grid, hi)
+                width = _WKB_WIDTH * max(floats[1], abs(energy))
+            energy = min(max(energy, lo), hi)
+            seed = max(lo, energy - width), min(hi, energy + width)
             # Where t = tv - (h^2/6) m E reaches 1, U = y / (1 - t) flips sign.
-            peak = max(islice(tv, s + 2, None)) - h * h / 6.0 * floats[0] * (
-                seed[0] - seed[1] if seed else lo)
+            peak = max(islice(tv, s + 2, None)) - h * h / 6.0 * floats[0] * seed[0]
             if size < g // 2 and peak >= 1.0:
                 energies = []
                 continue
-            energy, node_count = (_seeded(floats, config, grid, *seed) if seed
-                                  else _bisect_on_nodes(floats, config, grid, config.bracket))
+            energy, node_count = _bisect_on_nodes(floats, config, grid, seed)
         except (OracleError, ValueError) as exc:
             if size < g // 2:
                 energies = []
                 continue
             if isinstance(exc, OracleError) and peak >= 1.0:
+                # At the peak's index j, t = (h^2/6) m (V - E) + l(l+1)/(12 j^2)
+                # falls as h^2 in its first part only.
+                j = max(range(s + 2, size), key=tv.__getitem__) + 1
+                fixed = l * (l + 1) / (12.0 * j * j)
+                fixed = fixed if fixed < 1.0 else 0.0
+                needed = math.floor(size * math.sqrt((peak - fixed) / (1.0 - fixed))) + 1
                 raise OracleError(
                     f"the {size}-point rung cannot count nodes: the Numerov factor t "
                     f"peaks at {peak:.3g} past the sweep start; about "
-                    f"{math.ceil(g * math.sqrt(peak))} grid_points would keep it below 1"
+                    f"{needed * (g // size)} grid_points would keep it below 1"
                 ) from exc
             raise
         energies.append(energy)
@@ -450,7 +533,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             if estimate <= 4.0 * tol or size == g:
                 return OracleResult(level, node_count, estimate, converged=True)
     estimate = max(abs(energy - energies[-2]), 2.0 * tol)
-    return OracleResult(energy, node_count, estimate, converged=node_count == n)
+    return OracleResult(energy, node_count, estimate, converged=False)
 
 
 def compare_with_series(

@@ -15,7 +15,10 @@ when one ladder of grids, 1/16 of the configured size up to all of it,
 replaced that path (each energy moved by at most 7.6e-12 and came closer to
 its reference), and again when that ladder came to start at 250 points, seed
 each rung from the h^4 law and stop once its estimate met 4 tolerances (each
-energy moved by at most 5.4e-11, within the 1e-10 tolerance).
+energy moved by at most 5.4e-11, within the 1e-10 tolerance), and again when
+the first rung came to be seeded from its own WKB level, each bracket to
+close by secant steps and the default box to shrink with an upper bracket end
+pulled down to its phase target (each energy moved by at most 5.4e-11).
 `compute_pade_json`, `validate_short_csv` and `error_pade` were re-recorded when `pade` moved to exact arithmetic, rounded once; the
 harmonic `[1/1]` case replaced the `[8/8]` quartic in `error_pade`, which
 exact arithmetic solves.

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anharm import oracle
 from anharm.engine import compute_series
@@ -12,6 +14,7 @@ from anharm.oracle import (
     BracketingFailure,
     NotConverged,
     OracleConfig,
+    OracleError,
     compare_with_series,
     default_config,
     solve_radial,
@@ -177,31 +180,34 @@ class TestGridRefinement:
 
     def test_half_grid_level_outside_seed_bracket(self):
         # A coarse box step: the configured grid's level lies beyond the half
-        # grid's energy +- 1e-7 max(1, |E|), so its seed bracket widens.
+        # grid's energy + 2e-7 max(1, |E|), so its seed bracket steps up.  Only
+        # the 1000- and 2000-point rungs solve, so no triple obeys the h^4 law
+        # and the solve does not claim convergence.
         config = OracleConfig(
             r_max=52.0, grid_points=2000, target_state=make_state(0, 0),
             bracket=(0.0, 14.5), tolerance=1e-10,
         )
         result = solve_radial(HARMONIC, config)
-        assert result.converged
+        assert result.node_count == 0 and not result.converged
         assert result.residual_estimate > 1.5e-7
         assert abs(result.energy - 1.5) < result.residual_estimate
         # Pinned bit for bit: the solve must keep its floating-point operations in order.
-        assert result.energy.hex() == "0x1.7fffffca71385p+0"
-        assert result.residual_estimate.hex() == "0x1.8b35306800000p-23"
+        assert result.energy.hex() == "0x1.7fffffca5693ap+0"
+        assert result.residual_estimate.hex() == "0x1.8b27dee000000p-23"
 
     def test_rung_that_cannot_resolve_the_well_is_not_swept(self, swept):
         """In a box of 52 the Numerov factor t = (h^2/12) 2m (V_eff - E) at
         E = 0 peaks at 9.7 on 250 points and at 2.4 on 500, where
         U = y/(1 - t) flips sign from step to step and counts spurious nodes.
         Those rungs are skipped without a sweep; the 1000- and 2000-point
-        rungs solve."""
+        rungs solve, and two rungs make no triple, so the solve does not claim
+        convergence."""
         config = OracleConfig(
             r_max=52.0, grid_points=2000, target_state=make_state(0, 0), bracket=(0.0, 14.5),
         )
         result = solve_radial(HARMONIC, config)
         assert set(swept) == {1000, 2000}
-        assert result.node_count == 0 and result.converged
+        assert result.node_count == 0 and not result.converged
         assert abs(result.energy - 1.5) <= result.residual_estimate
 
 
@@ -228,10 +234,10 @@ class TestLadder:
         assert result.node_count == state[0] and result.converged
         assert abs(result.energy - (2 * state[0] + state[1] + 1.5)) <= result.residual_estimate
 
-    def test_coarse_failure_solves_from_the_configured_bracket(self, monkeypatch):
+    def test_coarse_failure_seeds_the_next_rung_from_its_own_wkb_level(self, monkeypatch):
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
-        bisect = oracle._bisect_on_nodes
-        calls, seen = [], []
+        bisect, wkb = oracle._bisect_on_nodes, oracle._wkb_level
+        calls, seen, levels = [], [], []
 
         def first_fails(floats, config, grid, bracket):
             calls.append((len(grid[1]), bracket))
@@ -239,10 +245,20 @@ class TestLadder:
                 raise BracketingFailure("no level on the first rung")
             return bisect(floats, config, grid, bracket)
 
+        def wkb_level(floats, n, grid, upper):
+            levels.append(wkb(floats, n, grid, upper))
+            return levels[-1]
+
         monkeypatch.setattr(oracle, "_bisect_on_nodes", first_fails)
+        monkeypatch.setattr(oracle, "_wkb_level", wkb_level)
         result = solve_radial(WEAK, config)
-        assert calls[:2] == [(seen[0], config.bracket), (seen[1], config.bracket)]
-        assert seen[1] == 2 * seen[0]
+        # Each of the first two rungs is seeded from its own WKB level +- 1e-2 max(omega, |E|).
+        assert len(levels) == 2 and seen[1] == 2 * seen[0]
+        widths = [1e-2 * max(1.0, abs(level)) for level in levels]
+        assert calls[:2] == [
+            (size, (level - width, level + width))
+            for size, level, width in zip(seen, levels, widths)
+        ]
         assert result.node_count == 1 and result.converged
         assert abs(result.energy - _weak_reference((1, 1))) <= result.residual_estimate
 
@@ -280,6 +296,70 @@ class TestLadder:
         result = solve_radial(WEAK, config)
         assert result.node_count == 1 and result.converged
         assert abs(result.energy - _weak_reference((1, 1))) <= result.residual_estimate
+
+
+class TestFirstRung:
+    """The first rung is seeded from its own Langer-corrected WKB level, the
+    energy at which sqrt(12) sum_j sqrt(max(c - tv_j - 1/(48 j^2), 0)) is
+    (n + 1/2) pi, +- 1e-2 max(omega, |E|), clipped to the configured bracket."""
+
+    @pytest.mark.parametrize("state", HARMONIC_STATES)
+    def test_harmonic_wkb_level_is_the_level(self, state):
+        # The Langer-corrected WKB level of the oscillator is exact; the
+        # 250-point sum misses it by far less than the seed's half width.
+        config = default_config(HARMONIC, make_state(*state))
+        grid = oracle._grid(oracle._floats(HARMONIC), state[1], config.r_max, 250)
+        level = oracle._wkb_level(oracle._floats(HARMONIC), state[0], grid, config.bracket[1])
+        assert abs(level - (2 * state[0] + state[1] + 1.5)) <= 2e-3 * level
+
+    @pytest.mark.parametrize("bracket", [(0.5, 1.49), (1.51, 3.0)], ids=["below", "above"])
+    def test_bracket_that_excludes_the_level_is_never_left(self, monkeypatch, bracket):
+        """The seed lies at the level 1.5, outside the configured bracket: it
+        is clipped to the bracket, and no sweep runs outside it."""
+        energies = []
+        sweep = oracle._integrate
+
+        def recorded(floats, state, energy, h, tv, s):
+            energies.append(energy)
+            return sweep(floats, state, energy, h, tv, s)
+
+        monkeypatch.setattr(oracle, "_integrate", recorded)
+        config = default_config(HARMONIC, make_state(0, 0), grid_points=2000, bracket=bracket)
+        with pytest.raises(BracketingFailure):
+            solve_radial(HARMONIC, config)
+        assert energies and all(bracket[0] <= energy <= bracket[1] for energy in energies)
+
+
+_SCALED = st.builds(
+    lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+    st.integers(1, 9999), st.integers(1, 9999), st.integers(-3, 3),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    mass=_SCALED,
+    omega=_SCALED,
+    couplings=st.lists(st.tuples(_SCALED, st.booleans()), max_size=4),
+    n=st.integers(0, 6),
+    l=st.sampled_from([0, 1, 2, 5, 12, 40]),
+    grid_points=st.sampled_from([1000, 2000, 4000, 16000]),
+)
+def test_every_problem_ends_in_its_level_or_a_typed_error(mass, omega, couplings, n, l, grid_points):
+    """The class of confining potentials the model accepts: m and omega of 1-4
+    digit rationals times 10^(-3..3), up to four couplings of either sign with
+    the last one positive.  Each default solve ends in a level with n nodes
+    or in an OracleError or ValueError, never in another exception."""
+    couplings = [v if positive else -v for v, positive in couplings]
+    if couplings:
+        couplings[-1] = abs(couplings[-1])
+    potential = make_potential(mass, omega, couplings)
+    try:
+        result = solve_radial(potential, default_config(potential, make_state(n, l), grid_points=grid_points))
+    except (OracleError, ValueError):
+        return
+    assert result.node_count == n
 
 
 class TestRichardsonLadder:
@@ -452,11 +532,14 @@ class TestDefaultConfig:
     )
     def test_sweep_budget(self, swept, problem, state):
         """The sweeps are the solver's whole cost; count the points they cover,
-        not seconds.  Every rung together covers 0.66-1.25 configured grids."""
+        not seconds.  Every rung together covers 0.48-1.06 configured grids,
+        in 15-20 sweeps, 7-8 of them on the first rung, seeded from its WKB
+        level; searched from the bracket, that rung took 16-21."""
         potential = make_potential(*problem)
         config = default_config(potential, make_state(*state))
         solve_radial(potential, config)
         assert sum(swept) <= 1.5 * config.grid_points
+        assert swept.count(swept[0]) <= 10 and len(swept) <= 20
 
     @pytest.mark.parametrize("state", [(0, 0), (1, 2)])
     @pytest.mark.parametrize(
@@ -555,17 +638,29 @@ class TestFailureModes:
             solve_radial(potential, config)
 
     @pytest.mark.parametrize(
-        "couplings, l, grid_points",
-        [([], 1000, 16000), ([], 400, 2000), ([1], 1000, 16000)],
+        "couplings, l, grid_points, r_max",
+        [([], 1000, 16000, 78.7), ([], 400, 2000, 51.1), ([1], 1000, 16000, None)],
         ids=["overflow-l1000", "overflow-l400", "underflow-quartic-l1000"],
     )
-    def test_start_value_outside_the_float_range(self, couplings, l, grid_points):
-        # The sweep starts at r = 1.41, 2.91 and 0.164, where r^(l+1) overflows,
-        # overflows and underflows to 0.
+    def test_start_value_outside_the_float_range(self, couplings, l, grid_points, r_max):
+        # The sweep starts at r = 1.41, 2.91 and 0.163, where r^(l+1) overflows,
+        # overflows and underflows to 0 (and at twice that on the half grid).
         potential = make_potential(1, 1, couplings)
-        config = default_config(potential, make_state(0, l), grid_points=grid_points)
+        config = default_config(potential, make_state(0, l), grid_points=grid_points, r_max=r_max)
         with pytest.raises(ValueError, match="start value r\\^\\(l\\+1\\) is out of the float"):
             solve_radial(potential, config)
+
+    @pytest.mark.parametrize("l, grid_points", [(400, 2000), (1000, 16000)])
+    def test_start_value_fits_in_the_default_box(self, l, grid_points):
+        """The default box ends 20 units of WKB decay past the turning point of
+        an upper end near level 0, 25.2 and 36.8 here, so the half and the
+        configured grid start at r = 2.87 and 1.43, and 1.32 and 0.66, where
+        r^(l+1) fits: the oscillator's level comes out.  Every coarser rung
+        overflows, two rungs make no triple, and the solve says so."""
+        config = default_config(HARMONIC, make_state(0, l), grid_points=grid_points)
+        result = solve_radial(HARMONIC, config)
+        assert result.node_count == 0 and not result.converged
+        assert abs(result.energy - (l + 1.5)) <= result.residual_estimate <= 1e-7
 
     @pytest.mark.parametrize("kwargs", INVALID_CONFIG_FIELDS)
     def test_config_validation(self, kwargs):

@@ -2,40 +2,23 @@
 and the `--help` of `compute` and `validate`.
 
 `tests/test_golden.py` renders every case again and compares it byte for byte
-with the files under `tests/golden/`.  The files were recorded before the
-exact engine was reduced to a single fill loop, the K = 64 series before it
-moved from `Fraction` cells to integers in oscillator units, and
-`validate_short_csv` and `validate_config` before `compute` and `validate`
-came to share one runner.  The four `validate_*` transcripts carry solver
-energies; they were re-recorded when the solver moved to the summed-form
-sweep, the Illinois stop and the energy-sized box, and again when it came to
-find the level on an eighth-size grid and converge on the configured grid
-from that seed (each energy moved by less than the tolerance), and once more
-when one ladder of grids, 1/16 of the configured size up to all of it,
-replaced that path (each energy moved by at most 7.6e-12 and came closer to
-its reference), and again when that ladder came to start at 250 points, seed
-each rung from the h^4 law and stop once its estimate met 4 tolerances (each
-energy moved by at most 5.4e-11, within the 1e-10 tolerance), and again when
-the first rung came to be seeded from its own WKB level, each bracket to
-close by secant steps and the default box to shrink with an upper bracket end
-pulled down to its phase target (each energy moved by at most 5.4e-11).
-`compute_pade_json`, `validate_short_csv` and `error_pade` were re-recorded when `pade` moved to exact arithmetic, rounded once; the
-harmonic `[1/1]` case replaced the `[8/8]` quartic in `error_pade`, which
-exact arithmetic solves.
-`series_k64/quartic_n0_l0.json`, the quartic ground state, was added from
-the engine as it stood before each convolution was bounded by the rows'
-first nonzero columns too; no other file was re-recorded then.  Rewrite the
-files only for a change that is meant to alter output:
+with the files under `tests/golden/`.  A CLI transcript holds the argv, the
+config file when the case has one, the exit code, stdout and stderr; a
+`--sweep` case adds the files it wrote, and a help text is the stdout of
+`anharm COMMAND --help` at 80 columns.  The solver cases use a 4000-point
+grid to stay cheap.  The history of re-recordings is in CHANGES.md.
+
+`render_cli` and `render_help` take a runner, `run(argv, env)` returning
+(exit code, stdout, stderr) of `anharm ARGV` with `env` added to the
+environment.  The default, `run_in_process`, calls `anharm.cli.main`, which
+is what `python -m anharm` calls; `tests/test_golden.py` also replays the
+cases through the `anharm` console script, and `tests/test_cli.py` in
+interpreters that cannot import the modules a command does not run.  This
+module imports nothing that loads `dataclasses`, so it runs in those too.
+
+Rewrite the files only for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/golden_cases.py
-
-CLI cases run in-process through `anharm.cli.main`, which is what
-`python -m anharm` calls.  Each transcript holds the argv, the config file
-when the case has one, the exit code, stdout and stderr.  The solver cases use
-a 4000-point grid to stay cheap, so their ladders climb from 250 points.
-The help texts are rendered at 80 columns; `help_validate.txt` was recorded
-before the defaults moved into the option table, `help_compute.txt` after
-`compute` dropped the solver flags.
 """
 
 from __future__ import annotations
@@ -48,7 +31,6 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 from anharm.cli import main
 from anharm.engine import compute_series
@@ -116,7 +98,27 @@ SERIES_K64_CASES = {
 }
 
 
-def render_cli(name: str) -> dict[str, str]:
+def run_in_process(argv: list[str], env: dict[str, str]) -> tuple[int, str, str]:
+    """`anharm.cli.main(argv)` in this interpreter, with `env` set meanwhile."""
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's --help and usage errors
+                code = exc.code
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def render_cli(name: str, run=run_in_process) -> dict[str, str]:
     """Transcript of one CLI case, plus every file it wrote, by golden path."""
     argv = CLI_CASES[name]
     config = json.dumps(CONFIG_FILES[name]) + "\n" if name in CONFIG_FILES else ""
@@ -124,12 +126,10 @@ def render_cli(name: str) -> dict[str, str]:
         out_dir = Path(tmp) / "out"
         config_path = Path(tmp) / "config.json"
         config_path.write_text(config)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([
-                arg.replace("{out}", str(out_dir)).replace("{config}", str(config_path))
-                for arg in argv
-            ])
+        code, stdout, stderr = run([
+            arg.replace("{out}", str(out_dir)).replace("{config}", str(config_path))
+            for arg in argv
+        ], {})
         files = {
             f"{name}/{path.name}": path.read_text()
             for path in sorted(out_dir.iterdir())
@@ -138,19 +138,15 @@ def render_cli(name: str) -> dict[str, str]:
         f"$ anharm {' '.join(argv)}\n"
         + (f"--- config\n{config}" if config else "")
         + f"exit {code}\n"
-        f"--- stdout\n{stdout.getvalue()}"
-        f"--- stderr\n{stderr.getvalue()}"
+        f"--- stdout\n{stdout}"
+        f"--- stderr\n{stderr}"
     )
     return {f"{name}.txt": transcript, **files}
 
 
-def render_help(command: str) -> dict[str, str]:
+def render_help(command: str, run=run_in_process) -> dict[str, str]:
     """`anharm COMMAND --help` at 80 columns."""
-    stdout = io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(stdout):
-        with contextlib.suppress(SystemExit):
-            main([command, "--help"])
-    return {f"help_{command}.txt": stdout.getvalue()}
+    return {f"help_{command}.txt": run([command, "--help"], {"COLUMNS": "80"})[1]}
 
 
 def render_series(name: str, order: int = SERIES_ORDER) -> dict[str, str]:

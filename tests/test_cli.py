@@ -1,5 +1,8 @@
+import contextlib
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -13,7 +16,7 @@ import anharm.wavefunction
 from anharm.cli import _OPTIONS, _build_parser, main
 from anharm.engine import compute_series
 from anharm.model import EnergySeries, make_potential, make_state
-from golden_cases import CLI_CASES, GOLDEN_DIR
+from golden_cases import GOLDEN_DIR
 
 QUARTIC_ARGS = [
     "compute", "--mass", "1", "--omega", "1", "--v", "1/100",
@@ -47,6 +50,21 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` (SIGALRM)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCompute:
@@ -140,6 +158,20 @@ class TestCompute:
         assert err.startswith("error: ConfigError:") and repr(str(target)) in err
         assert ".anharm-" not in err
 
+    def test_failed_replace_leaves_the_target_alone(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"earlier run\n")
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run_cli(capsys, QUARTIC_ARGS + ["--output", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: ConfigError: cannot write output {str(target)!r}")
+        assert target.read_bytes() == b"earlier run\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+
     def test_solver_flags_are_not_compute_options(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compute", "--order", "2", "--tolerance", "0"])
@@ -158,6 +190,11 @@ class TestCompute:
         assert doc["pade"]["num_degree"] == 3
         assert doc["pade"]["den_degree"] == 3
         assert abs(doc["pade"]["value"] - 1.768855) < 1e-5
+        # The v_1 = 1 quartic is a Stieltjes series, so its [8/8] lies below
+        # the level 2.737892268 (test_acceptance's criterion 8), here by 0.026.
+        argv = ["compute", "--v", "1", "--order", "17", "--pade-num", "8", "--pade-den", "8"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and 2.71 < json.loads(out)["pade"]["value"] < 2.737892268
 
     def test_pade_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, ["compute", "--v", "1/10", "--pade-num", "2"])
@@ -498,7 +535,10 @@ class TestValidate:
     )
     def test_parameter_outside_the_float_range_is_config_error(self, capsys, flags, name):
         argv = ["validate", "--order", "2", "--grid-points", "2000", *flags]
-        code, out, err = run_cli(capsys, argv)
+        # The bracket doubling once spun forever on the overflowing scans:
+        # a refusal that takes 20 s fails instead of stalling the run.
+        with within_seconds(20):
+            code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         # Named, without the 400-digit rational.
         assert err == f"error: ConfigError: {name} is out of the float range the solver works in\n"
@@ -605,6 +645,18 @@ class TestValidate:
         assert code == 0 and solved["converged"] is False
         assert abs(solved["energy"] + 1079596.09116) <= solved["residual"]
 
+    def test_grid_that_misses_the_well_keeps_the_scans_lower_end(self, capsys):
+        # The 1000-point grid's lowest V_eff, -8663811.40, lies above the
+        # upper bracket end, -8663829.118: the box was sized from the scan,
+        # so the bracket keeps the scan's minimum, -8663829.131, as its lower
+        # end, and the solver names the grid it needs, not r_max.
+        argv = ["validate", "--mass", "7814000/19", "--omega", "7/6000", "--v", "-56375/608",
+                "982/8411", "--n", "5", "--l", "2", "--grid-points", "1000", "--order", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: OracleError: the 500-point rung cannot count nodes")
+        assert "grid_points" in err and err.count("\n") == 1
+
 
 class TestCheckHarmonic:
     def test_order_below_two_is_config_error(self, capsys):
@@ -613,11 +665,12 @@ class TestCheckHarmonic:
         assert err == "error: ConfigError: order must be >= 2\n"
 
     def test_small_grid_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["check-harmonic", "--max-n", "3", "--max-l", "3", "--order", "6"]
-        )
-        assert code == 0
-        assert "all exact checks passed" in out
+        for bound, order in (("3", "6"), ("4", "40")):
+            code, out, _ = run_cli(
+                capsys, ["check-harmonic", "--max-n", bound, "--max-l", bound, "--order", order]
+            )
+            assert code == 0
+            assert "all exact checks passed" in out
 
     def test_corrupted_engine_is_located(self, capsys, monkeypatch):
         """A tampered E_k, table head column or node polynomial is reported at
@@ -709,43 +762,6 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["corrections"] == ["3/2", "0"]
 
 
-def test_commands_without_the_solver_run_without_numpy():
-    """compute and check-harmonic never load numpy: with numpy unimportable,
-    their golden cases render byte for byte, and only the solver fails."""
-    names = ["compute_pade_json", "compute_csv", "sweep", "check_harmonic"]
-    script = f"""
-        import json, sys
-        sys.modules["numpy"] = None
-        import anharm
-        from golden_cases import render_cli
-
-        rendered = {{}}
-        for name in {names!r}:
-            rendered.update(render_cli(name))
-        try:
-            anharm.default_config(anharm.make_potential(1, 1), anharm.make_state(0, 0))
-            refused = False
-        except ImportError:
-            refused = True
-        print(json.dumps({{"rendered": rendered, "solver_refused": refused}}))
-    """
-    src = str(Path(anharm.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["solver_refused"]
-    assert all(f"{name}.txt" in result["rendered"] for name in names)
-    for rel, text in result["rendered"].items():
-        assert text.encode() == (GOLDEN_DIR / rel).read_bytes(), rel
-
-
 def _fresh_python(*args):
     """A new interpreter on this checkout's `src`, the tests' directory on its path."""
     src = str(Path(anharm.__file__).resolve().parents[1])
@@ -756,6 +772,38 @@ def _fresh_python(*args):
     )
 
 
+def _assert_golden_without(modules, names):
+    """CLI cases `names` render their golden files byte for byte through
+    `render_cli` in a fresh interpreter in which `modules` cannot be imported."""
+    script = f"""
+        import json, sys
+        for module in {list(modules)!r}:
+            sys.modules[module] = None
+        from golden_cases import render_cli
+
+        rendered = {{}}
+        for name in {list(names)!r}:
+            rendered.update(render_cli(name))
+        print(json.dumps(rendered))
+    """
+    proc = _fresh_python("-c", textwrap.dedent(script))
+    assert proc.returncode == 0, proc.stderr
+    rendered = json.loads(proc.stdout)
+    assert all(f"{name}.txt" in rendered for name in names)
+    for rel, text in rendered.items():
+        assert text.encode() == (GOLDEN_DIR / rel).read_bytes(), rel
+
+
+def test_commands_without_the_solver_run_without_numpy(monkeypatch):
+    """compute and check-harmonic never load numpy: with numpy unimportable,
+    their golden cases render byte for byte, and only the solver fails."""
+    names = ["compute_pade_json", "compute_csv", "sweep", "check_harmonic"]
+    _assert_golden_without(["numpy"], names)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        anharm.default_config(anharm.make_potential(1, 1), anharm.make_state(0, 0))
+
+
 def test_cold_start_needs_no_dataclasses():
     """Start-up loads neither `dataclasses` nor `inspect`, and each subcommand
     loads only the modules it runs: `import anharm.cli` leaves the solver,
@@ -764,10 +812,9 @@ def test_cold_start_needs_no_dataclasses():
     With `dataclasses` unimportable, and with the modules a subcommand does
     not run unimportable too, compute (a success, an engine error and a
     resummation error), check-harmonic and validate render their golden
-    transcripts byte for byte, each in a fresh interpreter.  `golden_cases`
-    cannot run in those interpreters (its `unittest` import loads
-    `dataclasses`), so the argv go in and the transcripts are checked here.
-    The lazy public names resolve to their modules' own objects."""
+    transcripts byte for byte through `golden_cases.render_cli`, each in a
+    fresh interpreter.  The lazy public names resolve to their modules' own
+    objects."""
     unloaded = {"dataclasses", "inspect", "numpy", "tempfile", "anharm.oracle",
                 "anharm.resummation", "anharm.wavefunction"}
     loaded = f"""
@@ -796,25 +843,4 @@ def test_cold_start_needs_no_dataclasses():
         ("validate_short_csv",): ["anharm.wavefunction"],
     }
     for names, modules in blocked.items():
-        script = f"""
-            import contextlib, io, json, sys
-            for module in {["dataclasses", *modules]!r}:
-                sys.modules[module] = None
-            from anharm.cli import main
-
-            runs = {{}}
-            for name, argv in {({name: CLI_CASES[name] for name in names})!r}.items():
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(argv)
-                runs[name] = [code, stdout.getvalue(), stderr.getvalue()]
-            print(json.dumps(runs))
-        """
-        proc = _fresh_python("-c", textwrap.dedent(script))
-        assert proc.returncode == 0, proc.stderr
-        for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
-            transcript = (
-                f"$ anharm {' '.join(CLI_CASES[name])}\nexit {code}\n"
-                f"--- stdout\n{stdout}--- stderr\n{stderr}"
-            )
-            assert transcript.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes(), name
+        _assert_golden_without(["dataclasses", *modules], names)

@@ -223,7 +223,7 @@ class TestLadder:
         config = default_config(WEAK, make_state(*state), grid_points=grid_points)
         result = solve_radial(WEAK, config)
         assert result.node_count == state[0] and result.converged
-        assert abs(result.energy - _weak_reference(state)) <= result.residual_estimate
+        assert abs(result.energy - _weak_reference(state)) <= result.residual_estimate <= 1e-8
         assert sum(swept) <= 12 * grid_points
 
     @pytest.mark.parametrize("grid_points", [2000, 4000])
@@ -409,7 +409,7 @@ class TestRichardsonLadder:
         assert not (abs(result.energy - exact) <= result.residual_estimate <= 1e-11
                     and sum(swept) <= 1.5 * config.grid_points)
 
-    @pytest.mark.parametrize("state", WEAK_STATES)
+    @pytest.mark.parametrize("state", [*WEAK_STATES, (5, 3)])
     def test_weak_coupling_reference(self, state):
         """At v_1 = 1/100 the exact [16/16] Pade level of E_1..E_34 is a
         float-precision reference: [17/16] rounds to the same float."""
@@ -518,12 +518,14 @@ class TestQuarticWeakCoupling:
 class TestDefaultConfig:
     @pytest.mark.parametrize("problem, state, reference", REFERENCE_LEVELS)
     def test_reference_levels(self, problem, state, reference):
+        """On the default grid and on the 4000-point grid of the CLI tests."""
         potential = make_potential(*problem)
-        result = solve_radial(potential, default_config(potential, make_state(*state)))
-        assert result.node_count == state[0]
-        assert result.converged
-        # 1e-11: the convergence level of the reference itself
-        assert abs(result.energy - reference) <= result.residual_estimate + 1e-11
+        for grid in ({}, {"grid_points": 4000}):
+            result = solve_radial(potential, default_config(potential, make_state(*state), **grid))
+            assert result.node_count == state[0]
+            assert result.converged and result.residual_estimate <= 1e-11
+            # 1e-11: the convergence level of the reference itself
+            assert abs(result.energy - reference) <= result.residual_estimate + 1e-11
 
     @pytest.mark.parametrize(
         "problem, state",

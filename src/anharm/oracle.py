@@ -157,25 +157,35 @@ def default_config(
     whose phase reaches (n + 3/2) pi.  The box radius is the outer turning point of the
     upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which every
     energy in the bracket exceeds, so the box shrinks with the upper end.
-    Both read one scan of 2m (V_eff - E) in 1% steps from 1e-3 to 1e6
-    oscillator lengths 1/sqrt(m omega).  The lower end is the minimum of
-    V_eff on the grid, where no solution has a node, or the scan's, when a
-    box sized from the scan leaves no grid point below the upper end.
+    Both read one scan of 2m (V_eff - E) in 1% steps from 1e-3 to 1e6 times
+    the shortest of the oscillator length 1/sqrt(m omega) and each nonzero
+    coupling's length (m |v_i|)^(-1/(2i+4)), the size of a level held by
+    that term alone, so the scan reaches a well far inside the oscillator
+    length.  The lower end lies at or below the least V_eff, where no solution
+    has a node: 2 v_k - max(v_(k-1), v_(k+1)) at the scan's least v_k, which
+    bounds a quadratic minimum between scan points from below, or the least
+    V_eff on the grid of a given r_max, if lower.
     Raises BracketingFailure for potentials that do not confine within the
     scan, and ValueError for what _floats refuses, for a scan that sizes box
     or bracket with a NaN V_eff, or a V_eff above every finite upper end
-    (2 V_eff finite nowhere), for a V_eff on the grid that is not finite, and,
-    with no bracket given, for a given r_max whose grid lies wholly at or
+    (2 V_eff finite nowhere), and, with r_max given and no bracket, for a
+    V_eff on its grid that is not finite or a grid that lies wholly at or
     above the upper end.
     """
     import numpy as np
 
     floats = _floats(potential)
-    m, omega, mw, _ = floats
+    m, omega, mw, couplings = floats
     length = 1.0 / math.sqrt(mw)
     sized = r_max is None  # the box is sized from the scan
+    # The shortest length, each coupling's taken in logs so that m |v_i|
+    # neither overflows nor underflows.
+    reach = min([length] + [
+        math.exp(-(math.log(m) + math.log(abs(vi))) / (2 * i + 4))
+        for i, vi in enumerate(couplings, 1) if vi
+    ])
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.geomspace(1e-3 * length, 1e6 * length, 2400)
+        r = np.geomspace(1e-3 * reach, 1e6 * reach, 2400)
         v = _v_eff(floats, state.l, r)
         upper = (3.0 * (2 * state.n + state.l + 1.5) + 10.0) * omega
         if bracket is not None:
@@ -187,6 +197,11 @@ def default_config(
         ):
             raise ValueError("V_eff on the scan is out of the float range the solver works in")
         target, bottom = (state.n + 1.5) * math.pi, float(v.min())
+        # The scan's least V_eff can sit above the ground level of a well
+        # narrower than its 1% steps; at a quadratic minimum between scan
+        # points, 2 v_k - max(v_(k-1), v_(k+1)) lies at or below the true one.
+        k = int(np.argmin(v))
+        floor = 2.0 * bottom - float(v[max(k - 1, 0):k + 2].max())
         # low and high: the phase minus the target at below and at upper.
         below, low = bottom, -target
         high = _phase(m, r, v, upper) - target if bracket is None else 0.0
@@ -215,7 +230,7 @@ def default_config(
                     low *= 0.5
                 moved = 1
         excess = 2.0 * m * (v - upper)
-        if r_max is None:
+        if sized:
             allowed = np.flatnonzero(excess < 0.0)
             if allowed.size == 0:
                 raise BracketingFailure(
@@ -231,23 +246,19 @@ def default_config(
                 )
             r_max = r[allowed[-1] + 1 + beyond[0]]
     config = OracleConfig(
-        float(r_max), int(grid_points), state, bracket or (bottom, upper), float(tolerance)
+        float(r_max), int(grid_points), state,
+        bracket or (floor if math.isfinite(floor) else bottom, upper), float(tolerance),
     )
-    if bracket is None:
-        # The lower end moves from the scan's minimum of V_eff to the grid's.
-        # A grid in a box sized from the scan that misses the well below the
-        # upper end keeps the scan's: solve_radial names the grid it needs.
+    if bracket is None and not sized:
         g = config.grid_points
-        v = _on_grid(floats, state.l, config.r_max / g, g, 1.0)
-        lowest = float(v.min())
+        lowest = float(_on_grid(floats, state.l, config.r_max / g, g, 1.0).min())
         if lowest >= upper:
-            if sized:
-                return config
             raise ValueError(
                 f"r_max {config.r_max} leaves no grid point below the upper bracket "
                 f"energy {upper}: the lowest V_eff on the grid is {lowest}"
             )
-        config = config._replace(bracket=(lowest, upper))
+        # A given box can reach past the scan, where V_eff may lie lower.
+        config = config._replace(bracket=(min(lowest, config.bracket[0]), upper))
     return config
 
 
@@ -281,16 +292,19 @@ def _on_grid(floats, l: int, h: float, grid_points: int, scale: float):
 
 
 def _grid(floats, l: int, r_max: float, grid_points: int):
-    """(h, tv, s): the step h, the energy-free part tv_j of the Numerov factor
-    t_j = (h^2/12) 2m (V_eff(r_j) - E) at r_j = j h (j = 1..g), as a list, and
-    the sweep start s, the least index with tv < 1 at r_(s+3): near the origin
-    t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip the
-    sign of U = y/(1 - t).  s = 0 for l <= 9 on the default grids."""
+    """(h, tv, s, top): the step h, the energy-free part tv_j of the Numerov
+    factor t_j = (h^2/12) 2m (V_eff(r_j) - E) at r_j = j h (j = 1..g), as a
+    list, the sweep start s, the least index with tv < 1 at r_(s+3): near the
+    origin t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip
+    the sign of U = y/(1 - t), and top, the first index of the largest tv from
+    s + 2 on, the points a sweep steps through.  s = 0 for l <= 9 on the
+    default grids."""
     import numpy as np
 
     h = r_max / grid_points
     tv = _on_grid(floats, l, h, grid_points, h * h / 6.0 * floats[0])
-    return h, tv.tolist(), int(np.argmax(tv[2:] < 1.0))
+    s = int(np.argmax(tv[2:] < 1.0))
+    return h, tv.tolist(), s, s + 2 + int(np.argmax(tv[s + 2:]))
 
 
 def _integrate(floats, state, energy, h, tv, s):
@@ -300,9 +314,14 @@ def _integrate(floats, state, energy, h, tv, s):
     boundary value times _RESCALE_LIMIT**rescales.  The recurrence
     y_(j+1) - 2 y_j + y_(j-1) = 12 t_j U_j is summed through the differences
     d (Henrici), which keeps the round-off at O(eps) instead of O(eps/h^2).
-    It starts from U = r^(l+1) (1 + u1 r^2 + u2 r^4) at r_(s+1) and r_(s+2).
-    The solution is rescaled in the forbidden region to avoid overflow, which
-    changes neither node locations nor the boundary sign.
+    It starts from U = r^(l+1) (1 + u1 r^2 + u2 r^4) at r_(s+1) and r_(s+2),
+    which is positive: the factor is a quadratic in m E r^2 with no real root,
+    at least 1/6.  The sweep carries U times the sign of its latest value, so
+    u stays >= 0: where u turns negative a node is counted and u, y and d
+    change sign together.  Negation is exact and rounding is symmetric in
+    sign, so every magnitude is that of U itself.  The solution is rescaled
+    in the forbidden region to avoid overflow, which changes neither node
+    locations nor the boundary sign.
     """
     (m, omega, _, _), l = floats, state.l
     c = h * h / 6.0 * m * energy
@@ -320,29 +339,27 @@ def _integrate(floats, state, energy, h, tv, s):
     y = (1.0 - t) * u
     d = y - (1.0 - (tv[s] - c)) * u0
     nodes = rescales = 0
-    sign = math.copysign(1.0, u)
     limit = _RESCALE_LIMIT
     for p in islice(tv, s + 2, None):
         d += 12.0 * t * u
         y += d
         t = p - c
         u = y / (1.0 - t)
-        size = u * sign
-        if size < 0.0:
+        if u < 0.0:
             nodes += 1
-            sign = -sign
-        elif size > limit:
+            u, y, d = -u, -y, -d
+        elif u > limit:
             u /= limit
             y /= limit
             d /= limit
             rescales += 1
-    return nodes, math.log(abs(u) or 5e-324) + rescales * _LOG_RESCALE
+    return nodes, math.log(u or 5e-324) + rescales * _LOG_RESCALE
 
 
 def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     """Shrink `bracket` around the energy where the node count jumps past n.
 
-    Sweeps the config's state on `grid`, the (h, tv, s) of _grid.  A bracket
+    Sweeps the config's state on `grid`, the (h, tv, s, top) of _grid.  A bracket
     that misses the level steps toward it: its end on the level's side, with
     its node count and boundary value, becomes the far end of a bracket 16
     times as wide, so each step sweeps one new end.  No end passes the
@@ -362,7 +379,7 @@ def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     """
     state, tolerance = config.target_state, config.tolerance
     n, (floor, ceiling) = state.n, config.bracket
-    h, tv, s = grid
+    h, tv, s, _ = grid
 
     def sweep(energy):
         return (energy, *_integrate(floats, state, energy, h, tv, s))
@@ -419,12 +436,12 @@ def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
 def _wkb_level(floats, n: int, grid, upper: float) -> float:
     """The energy at which the Langer-corrected WKB phase on `grid` is
     (n + 1/2) pi: sqrt(12) sum_j sqrt(max(c - tv_j - 1/(48 j^2), 0)), the
-    phase of the (h, tv, s) of _grid at c = (h^2/6) m E, with l(l+1) raised
+    phase of the (h, tv, s, top) of _grid at c = (h^2/6) m E, with l(l+1) raised
     to (l + 1/2)^2 (Langer, Phys. Rev. 51 (1937) 669).  A few secant steps
     from the least such c, where the phase is 0, and the energy `upper`."""
     import numpy as np
 
-    h, tv, _ = grid
+    h, tv, _, _ = grid
     j = np.arange(1.0, len(tv) + 1.0)
     w = np.array(tv) + 1.0 / (48.0 * j * j)
     scale, target = h * h / 6.0 * floats[0], (n + 0.5) * math.pi / math.sqrt(12.0)
@@ -484,7 +501,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     energies = []
     for size in [g >> k for k in range(6, -1, -1) if g >> k >= _FIRST_RUNG]:
         try:
-            h, tv, s = grid = _grid(floats, l, config.r_max, size)
+            h, tv, _, top = grid = _grid(floats, l, config.r_max, size)
             if len(energies) > 1:
                 b, c = energies[-2:]
                 energy, width = c - (b - c) / 16.0, abs(b - c) / 32.0 + 2.0 * tol
@@ -497,7 +514,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             energy = min(max(energy, lo), hi)
             seed = max(lo, energy - width), min(hi, energy + width)
             # Where t = tv - (h^2/6) m E reaches 1, U = y / (1 - t) flips sign.
-            peak = max(islice(tv, s + 2, None)) - h * h / 6.0 * floats[0] * seed[0]
+            peak = tv[top] - h * h / 6.0 * floats[0] * seed[0]
             if size < g // 2 and peak >= 1.0:
                 energies = []
                 continue
@@ -509,7 +526,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             if isinstance(exc, OracleError) and peak >= 1.0:
                 # At the peak's index j, t = (h^2/6) m (V - E) + l(l+1)/(12 j^2)
                 # falls as h^2 in its first part only.
-                j = max(range(s + 2, size), key=tv.__getitem__) + 1
+                j = top + 1
                 fixed = l * (l + 1) / (12.0 * j * j)
                 fixed = fixed if fixed < 1.0 else 0.0
                 needed = math.floor(size * math.sqrt((peak - fixed) / (1.0 - fixed))) + 1

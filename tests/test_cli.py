@@ -515,11 +515,12 @@ class TestValidate:
             (["--v", "1e400"], "v_1"),
             (["--mass", "1e-200", "--omega", "1e-200"], "mass * omega"),
             (["--mass", "1e200", "--omega", "1e200"], "mass * omega"),
-            # The scan runs from 1e77 to 1e86, where r^4 and r^6 overflow:
-            # V_eff is inf - inf, or so large that no finite upper end exceeds it.
-            (["--mass", "1e-80", "--omega", "1e-80", "--v", "0", "1"], "V_eff on the scan"),
-            (["--mass", "1e-80", "--omega", "1e-80", "--v", "-1", "1"], "V_eff on the scan"),
-            (["--mass", "1e-80", "--omega", "1e-80", "--v", "1"], "V_eff on the scan"),
+            # v_25 r^52 and v_26 r^54 both overflow at the far end of the scan,
+            # r = 1e6, where V_eff is then -inf + inf.
+            (["--v", *["0"] * 24, "-1", "1"], "V_eff on the scan"),
+            # The level of 1e300 r^4 at m = 1e-320, about (v / m^2)^(1/3) =
+            # 1e313, lies above every float: the upper end doubles to inf.
+            (["--mass", "1e-320", "--omega", "1e100", "--v", "1e300"], "V_eff on the scan"),
             # The sweep on the half grid starts about l/sqrt(12) grid steps
             # out, at r = 10.6 and 11.5 (oscillator length 4), where r^(l+1)
             # overflows.
@@ -528,8 +529,7 @@ class TestValidate:
         ],
         ids=[
             "mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow",
-            "product-underflow", "product-overflow",
-            "scan-sextic-overflow", "scan-inf-minus-inf", "scan-quartic-overflow",
+            "product-underflow", "product-overflow", "nan-at-the-scan-end", "doubling-overflow",
             "start-l1000", "start-l400",
         ],
     )
@@ -546,21 +546,52 @@ class TestValidate:
         assert run_cli(capsys, ["compute", "--order", "2", *flags])[0] == 0
 
     @pytest.mark.parametrize(
-        "flags, code, message",
+        "couplings, k",
+        [(["0", "1"], 6), (["-1", "1"], 6), (["1"], 4)],
+        ids=["sextic", "sextic-minus-quartic", "quartic"],
+    )
+    def test_tiny_mass_level_obeys_the_scaling_law(self, capsys, couplings, k):
+        """At m = omega = 1e-80 the level of r^k is m^(-k/(k+2)) times its
+        level at m = 1, about 2.6e60 and 5.2e53.  A scan from 1e-3 oscillator
+        lengths (1e77) overflowed; one from 1e-3 coupling lengths (1e7, 1e10)
+        reaches the well.  -r^4 at r ~ 1e10, and omega^2 r^2 / 2, shift these
+        levels by 1e-20 of themselves or less."""
+        def level(mass, omega, couplings):
+            argv = ["validate", "--order", "2", "--grid-points", "2000", "--mass", mass]
+            code, out, err = run_cli(capsys, [*argv, "--omega", omega, "--v", *couplings])
+            assert (code, err) == (0, "")
+            result = json.loads(out)["oracle"]
+            assert result["converged"]
+            return result["energy"], result["residual"]
+
+        with within_seconds(20):
+            energy, error = level("1e-80", "1e-80", couplings)
+        unit, unit_error = level("1", "1e-30", ["0"] * (k // 2 - 2) + ["1"])
+        scale = 1e-80 ** (-k / (k + 2))
+        assert abs(energy - scale * unit) <= error + scale * unit_error
+
+    @pytest.mark.parametrize(
+        "couplings, flags, message",
         [
-            ([], 2, "ConfigError: V_eff on the scan is out of the float range the solver works in"),
+            (["-1", "1"], [], "lies below the potential everywhere"),
             # With the box given as well the scan sizes nothing, and the
             # solver reports the bracket.
-            (["--r-max", "10"], 4, "BracketingFailure: upper bracket energy 5.0 shows only 0 nodes"),
+            (["-1", "1"], ["--r-max", "10"], "shows only 0 nodes"),
+            (["1"], [], "lies below the potential everywhere"),
         ],
-        ids=["scan-sizes-the-box", "box-given"],
+        ids=["scan-sizes-the-box", "box-given", "scan-above-floats"],
     )
-    def test_user_bracket_on_an_overflowing_scan(self, capsys, flags, code, message):
+    def test_user_bracket_on_an_overflowing_scan(self, capsys, couplings, flags, message):
+        """m = omega = 1e-80: a scan from 1e-3 oscillator lengths overflowed
+        (V_eff inf - inf, or at least 1e308 wherever finite).  From 1e-3
+        coupling lengths it reaches the well, whose level, 2.6e60 or 5.2e53,
+        lies far above the bracket (0, 5)."""
         argv = ["validate", "--order", "2", "--grid-points", "2000", "--mass", "1e-80"]
-        argv += ["--omega", "1e-80", "--v", "-1", "1", "--bracket", "0", "5", *flags]
+        argv += ["--omega", "1e-80", "--v", *couplings, "--bracket", "0", "5", *flags]
         result = run_cli(capsys, argv)
-        assert result[:2] == (code, "")
-        assert result[2].startswith(f"error: {message}") and result[2].count("\n") == 1
+        assert result[:2] == (4, "")
+        assert result[2].startswith(f"error: BracketingFailure: upper bracket energy 5.0 {message}")
+        assert result[2].count("\n") == 1
 
     @pytest.mark.parametrize(
         "problem, solver, name",
@@ -572,11 +603,8 @@ class TestValidate:
             # r = 5e77 is not.
             (["--mass", "1e-10", "--omega", "1e-10"], ["--r-max", "1e81", "--bracket", "0", "5"],
              "start value r^(l+1)"),
-            # V_eff is 1e308 or more across the scan, wherever it is finite.
-            (["--mass", "1e-80", "--omega", "1e-80", "--v", "1"], ["--bracket", "0", "5"],
-             "V_eff on the scan"),
         ],
-        ids=["grid-overflow-bracket", "grid-overflow", "start-series-overflow", "scan-above-floats"],
+        ids=["grid-overflow-bracket", "grid-overflow", "start-series-overflow"],
     )
     def test_solver_option_outside_the_float_range_is_config_error(
         self, capsys, problem, solver, name
@@ -627,14 +655,12 @@ class TestValidate:
         assert code == 4
         assert "BracketingFailure" in err
 
-    def test_deep_well_names_the_grid_it_needs(self, capsys):
-        # From the bracket's lower end, -1.08e6, the Numerov factor t on the
-        # 8000-point rung peaks at 1.80 near the origin, so the sweep counts
-        # spurious nodes; the error names the grid, not the bracket.  That
-        # grid solves on its two finest rungs only, and two rungs make no
-        # triple, so the level (-1079596.0911600 at 32000 and 64000 points)
-        # comes without a claim of convergence.
-        argv = ["validate", "--v", "-9", "1/100", "--l", "1", "--order", "2"]
+    def solve_at_the_named_grid(self, capsys, quartic):
+        """Solves 1/2 r^2 - 9 r^4 + quartic r^6, l = 1, at the grid that the
+        default grid's OracleError names: its two finest rungs only, and two
+        rungs make no triple, so the level comes without a claim of
+        convergence."""
+        argv = ["validate", "--v", "-9", quartic, "--l", "1", "--order", "2"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (4, "")
         assert err.startswith("error: OracleError: the 8000-point rung cannot count nodes")
@@ -643,13 +669,30 @@ class TestValidate:
         code, out, _ = run_cli(capsys, [*argv, "--grid-points", str(needed)])
         solved = json.loads(out)["oracle"]
         assert code == 0 and solved["converged"] is False
+        return solved
+
+    def test_deep_well_names_the_grid_it_needs(self, capsys):
+        # From the bracket's lower end, -1.08e6, the Numerov factor t on the
+        # 8000-point rung peaks at 1.79 near the origin, so the sweep counts
+        # spurious nodes; the error names the grid, not the bracket.  The
+        # level is -1079596.0911600 at 32000 and 64000 points.
+        solved = self.solve_at_the_named_grid(capsys, "1/100")
         assert abs(solved["energy"] + 1079596.09116) <= solved["residual"]
+
+    def test_well_narrower_than_the_scan_steps_solves(self, capsys):
+        # The scan's nearest point to the minimum of V_eff at r = 24.5 lies
+        # 0.42% of r away and 232 above it, and the ground level lies 104
+        # above it: a lower end at the scan's least V_eff already counts a
+        # node.  The level is -1086806.9180867 at 44000 and 64000 points.
+        solved = self.solve_at_the_named_grid(capsys, "3/301")
+        assert abs(solved["energy"] + 1086806.91808667) <= solved["residual"]
 
     def test_grid_that_misses_the_well_keeps_the_scans_lower_end(self, capsys):
         # The 1000-point grid's lowest V_eff, -8663811.40, lies above the
-        # upper bracket end, -8663829.118: the box was sized from the scan,
-        # so the bracket keeps the scan's minimum, -8663829.131, as its lower
-        # end, and the solver names the grid it needs, not r_max.
+        # upper bracket end, -8663829.118.  The bracket's lower end comes
+        # from the scan, below its minimum -8663829.131, whatever the grid,
+        # and the box was sized from the scan, so the solver names the grid it
+        # needs, not r_max.
         argv = ["validate", "--mass", "7814000/19", "--omega", "7/6000", "--v", "-56375/608",
                 "982/8411", "--n", "5", "--l", "2", "--grid-points", "1000", "--order", "2"]
         code, out, err = run_cli(capsys, argv)

@@ -63,6 +63,18 @@ WEAK = make_potential(1, 1, [Fraction(1, 100)])
 WEAK_STATES = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 0), (0, 10), (5, 2)]
 
 
+# (potential, l, energy, r_max, grid_points) and the repr of (nodes,
+# log |u(r_max)|) that _integrate returned while it kept U's sign in a factor
+# of its own: the sign-normalised sweep gives them bit for bit.
+PINNED_SWEEPS = [
+    ((HARMONIC, 0, 1.5, 8.0, 1000), "(1, 4.138724970609407)"),
+    ((HARMONIC, 2, 1e4, 10.0, 1000), "(452, -14.142102698303452)"),
+    ((HARMONIC, 0, 1.0, 40.0, 4000), "(0, 793.0726848420306)"),
+    ((WEAK, 12, 20.0, 10.0, 1000), "(2, 51.75557993178229)"),
+    ((WEAK, 0, -3.0, 10.0, 1000), "(0, 74.40021595991465)"),
+]
+
+
 @functools.cache
 def _weak_series(state):
     return compute_series(WEAK, make_state(*state), 34)[1]
@@ -133,8 +145,20 @@ class TestHarmonicSpectrum:
         assert abs(result.energy - exact) <= result.residual_estimate + 1e-11
         # One sweep at the level, in a box that ends at its turning point sqrt(2E).
         floats = oracle._floats(HARMONIC)
-        h, tv, s = oracle._grid(floats, l, math.sqrt(2 * result.energy), 4000)
+        h, tv, s, _ = oracle._grid(floats, l, math.sqrt(2 * result.energy), 4000)
         assert oracle._integrate(floats, state, result.energy, h, tv, s)[0] == n
+
+    @pytest.mark.parametrize(
+        "sweep, expected", PINNED_SWEEPS,
+        ids=["near-level", "452-nodes", "rescaled", "start-past-origin", "below-potential"],
+    )
+    def test_sweep_is_pinned_bit_for_bit(self, sweep, expected):
+        """E = 1e4 crosses 452 nodes, E = 1 in a box of 40 grows past
+        _RESCALE_LIMIT, and l = 12 starts the sweep one point out (s = 1)."""
+        potential, l, energy, r_max, grid_points = sweep
+        floats = oracle._floats(potential)
+        h, tv, s, _ = oracle._grid(floats, l, r_max, grid_points)
+        assert repr(oracle._integrate(floats, make_state(0, l), energy, h, tv, s)) == expected
 
     def test_large_l_eigenfunction(self):
         # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301),
@@ -145,7 +169,7 @@ class TestHarmonicSpectrum:
         assert result.node_count == 0
         assert abs(result.energy - 301.5) <= result.residual_estimate
         floats = oracle._floats(HARMONIC)
-        h, tv, s = oracle._grid(floats, 300, config.r_max, 4000)
+        h, tv, s, _ = oracle._grid(floats, 300, config.r_max, 4000)
         _, size = oracle._integrate(floats, state, config.bracket[0], h, tv, s)
         assert size > oracle._LOG_RESCALE  # at least one rescale
 
@@ -336,7 +360,10 @@ _SCALED = st.builds(
 )
 
 
-@pytest.mark.filterwarnings("error")
+# RuntimeWarning only: numpy's overflow raises, while a DeprecationWarning
+# that a plugin raises inside hypothesis' own reporting stays a warning, so a
+# failing example is reported and later tests still run.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     mass=_SCALED,
@@ -564,6 +591,40 @@ class TestDefaultConfig:
         w = float(omega)
         bound = result.residual_estimate + w * unit.residual_estimate
         assert abs(result.energy - w * unit.energy) <= bound
+
+    def test_well_far_inside_the_oscillator_length(self):
+        """The oscillator length is 27021 and the coupling lengths 9.10 and
+        6.01, so the scan starts at r = 0.006, not at 27.0, beyond the whole
+        well (the box ends at 19.7).  Its least V_eff is the lower end; from
+        a scan that started at 27.0 that end had 148 nodes.  The reference
+        is the level of a solver that took the lower end from the grid, in a
+        box of 29.97, with its own estimate of 3.0e-8."""
+        potential = make_potential(
+            Fraction(57, 4224500), Fraction(713, 7024000),
+            [Fraction(-6723, 51380), Fraction(705, 16096)],
+        )
+        result = _solve(potential, 1, 40, grid_points=4000, tolerance=1e-12)
+        assert result.node_count == 1 and result.converged
+        assert abs(result.energy - 637487.4147932949) <= result.residual_estimate + 3.0e-8
+
+    def test_pure_quartic_scaling_law(self):
+        """As omega -> 0 the level of v r^4 (m = 1) is v^(1/3) times that of
+        r^4, so v = 8 doubles it.  At omega = 1e-10 and 1e-30 the oscillator
+        length is 1e5 and 1e15 coupling lengths; a scan from 1e-3 oscillator
+        lengths missed the well, and at 1e-10 the solve named 837934
+        grid_points.  omega^2 r^2 / 2 moves these levels by about 1e-20."""
+        def level(omega, v):
+            potential = make_potential(1, omega, [v])
+            result = solve_radial(potential, default_config(potential, make_state(0, 0)))
+            assert result.node_count == 0 and result.converged
+            return result.energy, result.residual_estimate
+
+        (soft, soft_error), (one, one_error), (eight, eight_error) = (
+            level(Fraction(1, 10**10), 1), level(Fraction(1, 10**30), 1),
+            level(Fraction(1, 10**30), 8),
+        )
+        assert abs(soft - one) <= soft_error + one_error
+        assert abs(eight - 2 * one) <= eight_error + 2 * one_error
 
     def test_zero_couplings_add_nothing(self):
         """A zero coupling whose power overflows on the scan (r^52 at 1e6)

@@ -10,12 +10,13 @@ ever chasing a neighbor state; secant steps on u(r_max; E), with the node
 count deciding which end moves, then converge on it.  A ladder of grids,
 from 1/64 of the configured size (at least 250 points) up to all of it,
 finds the level one rung from the next: the first rung is seeded at its own
-Langer-corrected WKB level, the second from the first's energy and each
+Langer-corrected WKB level, by the WKB phase and Illinois steps that also
+size the default bracket, the second from the first's energy and each
 later one by the h^4 law's prediction.  Richardson extrapolation of
 Numerov's h^4 error gives the energy; the h^6 term that extrapolation
 leaves gives its error estimate, and the climb stops once that estimate is
-within 4 tolerances.  Everything here
-is floating point; it exists to validate the exact series from the outside.
+within 4 tolerances.  Everything here is floating point; it exists to
+validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module does not load it; the first solve does.
 """
@@ -129,7 +130,7 @@ def _v_eff(floats, l: int, r):
     m, omega, _, couplings = floats
     r2 = r * r
     v = (l * (l + 1) / (2.0 * m)) / r2
-    r2 *= 0.5 * m * omega ** 2
+    r2 *= 0.5 * m * (omega * omega)
     v += r2
     for i, vi in enumerate(couplings, 1):
         if vi:  # a zero coupling adds nothing, where its power overflows too
@@ -152,11 +153,11 @@ def default_config(
     The upper bracket end starts at 3 e + 10 omega, e = (2n + l + 3/2) omega
     the oscillator estimate, and doubles while its WKB phase, the integral of
     sqrt(2m (E - V_eff)) dr (_phase), is below (n + 3/2) pi; level n lies
-    near (n + 3/4) pi.  Illinois steps then pull it down to within
-    _UPPER_SLACK of its height above the least V_eff of the least energy
-    whose phase reaches (n + 3/2) pi.  The box radius is the outer turning point of the
-    upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which every
-    energy in the bracket exceeds, so the box shrinks with the upper end.
+    near (n + 3/4) pi.  _illinois then pulls it down to within _UPPER_SLACK
+    of its height above the least V_eff of the least energy whose phase
+    reaches (n + 3/2) pi.  The box radius is the outer turning point of the
+    upper bracket energy plus a WKB decay of exp(-_DECAY_MARGIN), which
+    every energy in the bracket exceeds, so the box shrinks with the upper end.
     Both read one scan of 2m (V_eff - E) in 1% steps from 1e-3 to 1e6 times
     the shortest of the oscillator length 1/sqrt(m omega) and each nonzero
     coupling's length (m |v_i|)^(-1/(2i+4)), the size of a level held by
@@ -210,25 +211,9 @@ def default_config(
             if math.isinf(upper):  # V_eff exceeds every finite upper end
                 raise ValueError("V_eff on the scan is out of the float range the solver works in")
             high = _phase(m, r, v, upper) - target
-        # Illinois steps pull the upper end down to the least energy whose
-        # phase reaches the target: regula falsi, halving the value kept at
-        # an end that stays put twice in a row.
-        moved = 0
-        while bracket is None and upper - below > _UPPER_SLACK * (upper - bottom):
-            middle = upper - high * (upper - below) / (high - low)
-            if not below < middle < upper:  # a potential that does not confine
-                break
-            gap = _phase(m, r, v, middle) - target
-            if gap < 0.0:
-                below, low = middle, gap
-                if moved < 0:
-                    high *= 0.5
-                moved = -1
-            else:
-                upper, high = middle, gap
-                if moved > 0:
-                    low *= 0.5
-                moved = 1
+        if bracket is None:
+            upper = _illinois(lambda e: _phase(m, r, v, e) - target, below, low, upper, high,
+                              lambda e: _UPPER_SLACK * (e - bottom))
         excess = 2.0 * m * (v - upper)
         if sized:
             allowed = np.flatnonzero(excess < 0.0)
@@ -264,15 +249,40 @@ def default_config(
 
 def _phase(m: float, r, v, energy: float) -> float:
     """The WKB phase, the integral of sqrt(2m (E - V_eff)) dr, by the trapezoid
-    rule on the scan (r, v), read only next to the points where V_eff < E."""
+    rule on (r, v), the scan or a rung, read only next to the points where V_eff < E."""
     import numpy as np
 
-    inside = np.flatnonzero(v < energy)
+    inside = (v < energy).nonzero()[0]
     if inside.size == 0:
         return 0.0
     span = slice(max(inside[0] - 1, 0), inside[-1] + 2)
-    k = np.sqrt(np.maximum(2.0 * m * (energy - v[span]), 0.0))
-    return float(0.5 * np.dot(k[1:] + k[:-1], np.diff(r[span])))
+    r, k = r[span], np.sqrt(np.maximum(2.0 * m * (energy - v[span]), 0.0))
+    return float(0.5 * np.dot(k[1:] + k[:-1], r[1:] - r[:-1]))
+
+
+def _illinois(gap, below: float, low: float, upper: float, high: float, width) -> float:
+    """Illinois steps (regula falsi that halves the value kept at an end that
+    stays put twice in a row) on gap, from gap(below) = low < 0 and gap(upper)
+    = high: they pull upper down to the least root of gap until upper - below
+    <= width(upper), or until a step falls outside (below, upper), as where
+    the potential does not confine.  An upper below the root is returned as is."""
+    moved = 0
+    while high >= 0.0 and upper - below > width(upper):
+        middle = upper - high * (upper - below) / (high - low)
+        if not below < middle < upper:
+            break
+        value = gap(middle)
+        if value < 0.0:
+            below, low = middle, value
+            if moved < 0:
+                high *= 0.5
+            moved = -1
+        else:
+            upper, high = middle, value
+            if moved > 0:
+                low *= 0.5
+            moved = 1
+    return upper
 
 
 def _on_grid(floats, l: int, h: float, grid_points: int, scale: float):
@@ -434,31 +444,20 @@ def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
 
 
 def _wkb_level(floats, n: int, grid, upper: float) -> float:
-    """The energy at which the Langer-corrected WKB phase on `grid` is
-    (n + 1/2) pi: sqrt(12) sum_j sqrt(max(c - tv_j - 1/(48 j^2), 0)), the
-    phase of the (h, tv, s, top) of _grid at c = (h^2/6) m E, with l(l+1) raised
-    to (l + 1/2)^2 (Langer, Phys. Rev. 51 (1937) 669).  A few secant steps
-    from the least such c, where the phase is 0, and the energy `upper`."""
+    """The least energy, up to `upper`, at which the Langer-corrected WKB
+    phase on the (h, tv, s, top) of _grid reaches (n + 1/2) pi: _phase on
+    r_j = j h with 1/(8 m r^2) added to V_eff, which raises l(l+1) to
+    (l + 1/2)^2 (Langer, Phys. Rev. 51 (1937) 669), by _illinois from the
+    least such V_eff, where the phase is 0, to within 1e-6 max(omega, |E|)."""
     import numpy as np
 
-    h, tv, _, _ = grid
-    j = np.arange(1.0, len(tv) + 1.0)
-    w = np.array(tv) + 1.0 / (48.0 * j * j)
-    scale, target = h * h / 6.0 * floats[0], (n + 0.5) * math.pi / math.sqrt(12.0)
-
-    def excess(energy):
-        return float(np.sqrt(np.maximum(scale * energy - w, 0.0)).sum()) - target
-
-    e0, f0 = float(w.min()) / scale, -target
-    e1, f1 = upper, excess(upper)
-    for _ in range(8):
-        if f1 == f0:
-            break
-        e0, f0, e1 = e1, f1, e1 - f1 * (e1 - e0) / (f1 - f0)
-        f1 = excess(e1)
-        if abs(e1 - e0) <= 1e-6 * max(floats[1], abs(e1)):
-            break
-    return e1
+    (m, omega, _, _), (h, tv, _, _) = floats, grid
+    r = np.arange(1, len(tv) + 1) * h
+    v = np.array(tv, float) / (h * h / 6.0 * m) + 1.0 / (8.0 * m * r * r)
+    target = (n + 0.5) * math.pi
+    gap = lambda e: _phase(m, r, v, e) - target
+    return _illinois(gap, float(v.min()), -target, upper, gap(upper),
+                     lambda e: 1e-6 * max(omega, abs(e)))
 
 
 def _richardson(coarse: float, fine: float) -> float:

@@ -515,6 +515,10 @@ class TestValidate:
             (["--v", "1e400"], "v_1"),
             (["--mass", "1e-200", "--omega", "1e-200"], "mass * omega"),
             (["--mass", "1e200", "--omega", "1e200"], "mass * omega"),
+            # omega^2 overflows where omega and m omega do not: V_eff is
+            # inf on the whole scan.
+            (["--omega", "1e308"], "V_eff on the scan"),
+            (["--mass", "1e-300", "--omega", "1e300"], "V_eff on the scan"),
             # v_25 r^52 and v_26 r^54 both overflow at the far end of the scan,
             # r = 1e6, where V_eff is then -inf + inf.
             (["--v", *["0"] * 24, "-1", "1"], "V_eff on the scan"),
@@ -529,7 +533,8 @@ class TestValidate:
         ],
         ids=[
             "mass-underflow", "omega-underflow", "omega-overflow", "coupling-overflow",
-            "product-underflow", "product-overflow", "nan-at-the-scan-end", "doubling-overflow",
+            "product-underflow", "product-overflow", "omega-squared-overflow",
+            "mass-omega-squared-overflow", "nan-at-the-scan-end", "doubling-overflow",
             "start-l1000", "start-l400",
         ],
     )

@@ -74,6 +74,24 @@ PINNED_SWEEPS = [
     ((WEAK, 0, -3.0, 10.0, 1000), "(0, 74.40021595991465)"),
 ]
 
+# (mass, omega, couplings), (n, l) and the (r_max, lo, hi) of its default
+# config by float.hex, as the scan's Illinois steps gave them before they
+# shared one helper with the first rung's WKB level: the deep l = 40 well
+# sits far inside its oscillator length.
+PINNED_CONFIGS = [
+    ((1, 1, []), (0, 0), ("0x1.d81bb5cb0acb0p+2", "0x1.07c1ec77f8d60p-21", "0x1.80261a8cf3e90p+1")),
+    ((1, 1, [Fraction(1, 100)]), (1, 2),
+     ("0x1.d00599be8d9b0p+2", "0x1.40d02e040b583p+1", "0x1.050d4f52540f6p+3")),
+    ((1, Fraction(1, 4), [Fraction(-1), Fraction(1, 10)]), (0, 0),
+     ("0x1.2089a32044d52p+2", "-0x1.d40b8ee37627ep+3", "-0x1.362c660757f70p+2")),
+    ((Fraction(7, 4), Fraction(5, 3), [Fraction(1, 71)]), (2, 1),
+     ("0x1.37f9a686aa135p+2", "0x1.2e0ba2fa77c34p+1", "0x1.c653e67e157dbp+3")),
+    ((1, 1, [Fraction(1, 100)]), (0, 40),
+     ("0x1.2a0f607231072p+3", "0x1.98df538a4b92ep+5", "0x1.c07cdad58e109p+5")),
+    ((Fraction(57, 4224500), Fraction(713, 7024000), [Fraction(-6723, 51380), Fraction(705, 16096)]),
+     (1, 40), ("0x1.3ab1a32431eb5p+4", "0x1.0c4a3e3e5700cp+19", "0x1.54dd9e4c0d26ap+19")),
+]
+
 
 @functools.cache
 def _weak_series(state):
@@ -324,8 +342,9 @@ class TestLadder:
 
 class TestFirstRung:
     """The first rung is seeded from its own Langer-corrected WKB level, the
-    energy at which sqrt(12) sum_j sqrt(max(c - tv_j - 1/(48 j^2), 0)) is
-    (n + 1/2) pi, +- 1e-2 max(omega, |E|), clipped to the configured bracket."""
+    energy at which the WKB phase (_phase) on its grid, with 1/(8 m r^2)
+    added to V_eff, reaches (n + 1/2) pi, +- 1e-2 max(omega, |E|), clipped
+    to the configured bracket."""
 
     @pytest.mark.parametrize("state", HARMONIC_STATES)
     def test_harmonic_wkb_level_is_the_level(self, state):
@@ -335,6 +354,15 @@ class TestFirstRung:
         grid = oracle._grid(oracle._floats(HARMONIC), state[1], config.r_max, 250)
         level = oracle._wkb_level(oracle._floats(HARMONIC), state[0], grid, config.bracket[1])
         assert abs(level - (2 * state[0] + state[1] + 1.5)) <= 2e-3 * level
+
+    @pytest.mark.parametrize("upper", [0.25, 1.0, 1.49], ids=["below-the-potential", "below", "just-below"])
+    def test_upper_below_the_level_is_returned(self, upper):
+        """The least energy up to `upper` whose phase reaches the target is
+        `upper` itself when the level 1.5 lies above it, and also where the
+        Langer-corrected V_eff, least 0.5 near r = 0.71, does."""
+        config = default_config(HARMONIC, make_state(0, 0))
+        grid = oracle._grid(oracle._floats(HARMONIC), 0, config.r_max, 250)
+        assert oracle._wkb_level(oracle._floats(HARMONIC), 0, grid, upper) == upper
 
     @pytest.mark.parametrize("bracket", [(0.5, 1.49), (1.51, 3.0)], ids=["below", "above"])
     def test_bracket_that_excludes_the_level_is_never_left(self, monkeypatch, bracket):
@@ -591,6 +619,14 @@ class TestDefaultConfig:
         w = float(omega)
         bound = result.residual_estimate + w * unit.residual_estimate
         assert abs(result.energy - w * unit.energy) <= bound
+
+    @pytest.mark.parametrize(
+        "problem, state, expected", PINNED_CONFIGS,
+        ids=["harmonic", "weak-1-2", "negative-well", "bench-2-1", "weak-l40", "deep-l40"],
+    )
+    def test_config_is_pinned_bit_for_bit(self, problem, state, expected):
+        config = default_config(make_potential(*problem), make_state(*state))
+        assert (config.r_max.hex(), *(end.hex() for end in config.bracket)) == expected
 
     def test_well_far_inside_the_oscillator_length(self):
         """The oscillator length is 27021 and the coupling lengths 9.10 and

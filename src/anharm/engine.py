@@ -17,16 +17,20 @@ exact.
 The table is filled on integers in oscillator units (m = omega = 1), where
 v~_i = v_i / (m^(i+1) omega^(i+2)) and every divisor of the recursion is 2.
 With weight i for v~_i, C~[k][i] is weighted-homogeneous of degree i in the
-couplings and E~_k of degree k-1, so scaling v~_i by D^i scales them by D^i
-and D^(k-1).  For an integer D with den(v~_i) | D^i the couplings
-u_i = v~_i D^i are integers, the fill runs on them with the power of 2 as
-the only denominator, and the exponent rule reads
+couplings and E~_k of degree k-1, so scaling v~_i by s^i scales them by s^i
+and s^(k-1), for any rational s.  For an integer D with den(v~_i) | D^i the
+couplings v~_i D^i are integers, and they share a factor G^i: G is the
+largest integer with G^i | v~_i D^i for every nonzero coupling.  The fill
+runs on the integer couplings u_i = v~_i D^i / G^i, in the unit s = D/G,
+with the power of 2 as the only denominator, and the exponent rule reads
 
-    C~[k][i] = N[k][i] / (2^(k+i) D^i),    C[k][i] = (m omega)^(1-k+i) C~[k][i],
+    C~[k][i] = N[k][i] G^i / (2^(k+i) D^i),    C[k][i] = (m omega)^(1-k+i) C~[k][i],
+    E_k = omega G^(k-1) E~_k(u) / D^(k-1),
 
-row 0 included.  Every product N[j][p] N[k-j][i-p] of a convolution then
-sits at exponent k+i, so the fill is gcd-free big-integer dot products; the
-only division, by 2, is exact and checked.
+row 0 included.  Every N[k][i] carries i log2(G) bits fewer than in a fill
+on v~_i D^i.  Every product N[j][p] N[k-j][i-p] of a convolution sits at
+exponent k+i, so the fill is gcd-free big-integer dot products; the only
+division, by 2, is exact and checked.
 
 Zeros are skipped by position.  Row j is nonzero only in columns
 first[j]..last[j], read from the row itself, and a convolution multiplies
@@ -35,9 +39,8 @@ C_k (k >= 2) has no pole at the origin, so row k starts at column k and a
 ground-state table is an upper triangle.  In a fill without a momentum term,
 that is every harmonic potential and couplings that are zero up to K-1,
 row k ends at the last column that row k-1 or a pair of rows reaches, and
-the rest of the row is zeros.  One `Fraction` is built per energy,
-E_k = omega E~_k(u) / D^(k-1), and per nonzero entry of a row read; every
-zero entry is one shared Fraction(0).
+the rest of the row is zeros.  One `Fraction` is built per energy and per
+nonzero entry of a row read; every zero entry is one shared Fraction(0).
 """
 
 from __future__ import annotations
@@ -67,8 +70,41 @@ def _halve(acc: int, cell: str) -> int:
     return acc >> 1
 
 
-def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
-    """D and the integer momentum row N[0][0..imax], with c~_i = N[0][i] / (2^i D^i).
+def _common_power(couplings: list[int]) -> int:
+    """The largest G with G^i | u_i for every nonzero u_i = couplings[i-1].
+
+    G divides c, the gcd of the u_i, and a prime q of c enters G as q^e with
+    e = min over nonzero u_i of floor(v_q(u_i) / i).  Trial division takes
+    the primes of c below 1000 one at a time and gives each its exact
+    exponent, where lowering c by gcd steps can lose a prime (for
+    u = 1080, -7560000, 47628000000 it finds 20, not 60).  What trial
+    division leaves of c is a prime, or past the bound a product of larger
+    primes taken whole: its powers keep G^i | u_i but may stop short of the
+    largest G.  c <= 1, which takes in every harmonic fill, returns 1 at once.
+    """
+    c = math.gcd(*couplings)  # a zero coupling leaves the gcd as it is
+    if c <= 1:
+        return 1
+    terms = [(i, u) for i, u in enumerate(couplings, start=1) if u]
+    g, q = 1, 2
+    while c > 1:
+        if q * q > c or q > 1000:
+            q = c  # a prime, or a product of primes past the trial bound
+        elif c % q:
+            q += 1 if q == 2 else 2
+            continue
+        while c % q == 0:
+            c //= q
+        e = 0
+        while all(u % q ** (i * (e + 1)) == 0 for i, u in terms):
+            e += 1
+        g *= q**e
+    return g
+
+
+def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, int, list[int]]:
+    """D, G and the integer momentum row N[0][0..imax], in the unit D/G:
+    c~_i = N[0][i] G^i / (2^i D^i).
 
     In oscillator units c~_0 = -1 and
 
@@ -76,8 +112,9 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
 
     D needs den(v~_i) | D^i for every i.  Since v~_i = (v_i / omega) / (m omega)^(i+1),
     both lcm den(v~_i) and lcm den(v_i / omega) num(m omega)^2 qualify, and so
-    does their gcd, which needs no factoring.  The row is filled on the integer
-    couplings u_i = v~_i D^i, where c~_i(u) = D^i c~_i(v~) by homogeneity.
+    does their gcd, which needs no factoring.  G is `_common_power` of the
+    integers v~_i D^i, and the row is filled on the integer couplings
+    u_i = v~_i D^i / G^i, where c~_i(u) = (D/G)^i c~_i(v~) by homogeneity.
     A coupling past the given ones is zero, with denominator 1, so only the
     given ones are read as Fractions.
     """
@@ -88,14 +125,17 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, list[int]]:
         math.lcm(*(v.denominator for v in scaled)),
         math.lcm(*((v / omega).denominator for v in couplings)) * mw.numerator**2,
     )
+    u = [v.numerator * (d**i // v.denominator) for i, v in enumerate(scaled, start=1)]
+    g = _common_power(u)
+    if g > 1:
+        u = [x // g**i for i, x in enumerate(u, start=1)]
     row = [-1]
     for i in range(1, imax + 1):
         acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))
-        if i <= len(scaled):  # v_i = 0 past the given couplings
-            v = scaled[i - 1]
-            acc -= 2 ** (i + 1) * v.numerator * (d**i // v.denominator)
+        if i <= len(u):  # v_i = 0 past the given couplings
+            acc -= 2 ** (i + 1) * u[i - 1]
         row.append(_halve(acc, f"C0[{i}]"))
-    return d, row
+    return d, g, row
 
 
 class CoefficientTable:
@@ -108,17 +148,20 @@ class CoefficientTable:
 
     rows 1..order hold the hbar^k Laurent coefficients.  `compute_series`
     builds it complete, and it is read-only from then on.  It holds the
-    integer numerators N[k][i] of the fill on u_i = v~_i D^i; C~[k][i] has
-    degree i in the couplings, so C[k][i] = (m omega)^(1-k+i) N[k][i] / (2^(k+i) D^i).
+    integer numerators N[k][i] of the fill on u_i = v~_i D^i / G^i, in the
+    unit D/G; C~[k][i] has degree i in the couplings, so
+    C[k][i] = (m omega)^(1-k+i) N[k][i] G^i / (2^(k+i) D^i).
     A row of entries, in the problem's own units, is built when first read and
     kept; every zero entry is one shared Fraction(0).
     """
 
-    def __init__(self, potential: PotentialSpec, state: QuantumState, d: int, rows: list):
+    def __init__(
+        self, potential: PotentialSpec, state: QuantumState, d: int, g: int, rows: list
+    ):
         self.potential = potential
         self.state = state
         self.order = len(rows) - 1
-        self._d = d
+        self._d, self._g = d, g
         self._numerators = rows
         self._rows = [None] * len(rows)
 
@@ -127,18 +170,18 @@ class CoefficientTable:
         if not 0 <= k <= self.order:
             raise IndexError(f"level {k} outside 0..{self.order}")
         if self._rows[k] is None:
-            mw, d = self.potential.mass * self.potential.omega, self._d
+            mw, d, g = self.potential.mass * self.potential.omega, self._d, self._g
             row = []
             for i, n in enumerate(self._numerators[k]):
                 if not n:
                     row.append(_ZERO)
                     continue
-                # (m omega)^e N / (2^(k+i) D^i), e = 1-k+i, as one Fraction of
-                # integers: m omega = a/b, with a and b swapped when e < 0
+                # (m omega)^e N G^i / (2^(k+i) D^i), e = 1-k+i, as one Fraction
+                # of integers: m omega = a/b, with a and b swapped when e < 0
                 a, b, e = mw.numerator, mw.denominator, 1 - k + i
                 if e < 0:
                     a, b, e = b, a, -e
-                row.append(Fraction(n * a**e, b**e * 2 ** (k + i) * d**i))
+                row.append(Fraction(n * a**e * g**i, b**e * 2 ** (k + i) * d**i))
             self._rows[k] = tuple(row)
         return self._rows[k]
 
@@ -217,7 +260,7 @@ def compute_series(
 
         N[k][i] = [ 2 (3-2k+2i) N[k-1][i] + conv + 2 sum_p N[0][p] N[k][i-p]
                     - 4 l(l+1) (k==2)(i==0) ] / 2,
-        E_k = -omega (2 N[k-1][k-1] + conv) / (4^k D^(k-1)).
+        E_k = -omega (2 N[k-1][k-1] + conv) G^(k-1) / (4^k D^(k-1)).
 
     With first[j] and last[j] the first and last nonzero columns of row j
     (row 0 included), the pair (j, k-j) enters the convolution at column i
@@ -241,7 +284,7 @@ def compute_series(
             f"order {order} exceeds the cap of {max_order}; "
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
-    d, c0 = _momentum_row(potential, order - 1)
+    d, g, c0 = _momentum_row(potential, order - 1)
     momentum = any(c0[1:])
     # first[j], last[j]: the first and last nonzero columns of row j; a zero
     # row has first = order and last = -1, so it reaches no column
@@ -285,5 +328,5 @@ def compute_series(
         spans.append(row[lo:hi + 1])
         backs.append(spans[k][::-1])
         scale = 4**k * d ** (k - 1) * omega.denominator
-        corrections.append(Fraction(-energy * omega.numerator, scale))
-    return CoefficientTable(potential, state, d, rows), EnergySeries(tuple(corrections))
+        corrections.append(Fraction(-energy * omega.numerator * g ** (k - 1), scale))
+    return CoefficientTable(potential, state, d, g, rows), EnergySeries(tuple(corrections))

@@ -35,8 +35,11 @@ def parse_rational(value) -> Fraction:
 
     Text is anything `Fraction` accepts ("3/4", "-165/8", "2", "0.01"), so
     decimal strings stay exact.  A float is refused: its binary rounding
-    noise would enter an exact input.
+    noise would enter an exact input.  A Fraction is immutable, so it is
+    returned as it is, not copied.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ProblemSpecError(
             f"exact rational required, got float {value!r}; pass a string or Fraction"

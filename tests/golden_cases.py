@@ -84,9 +84,16 @@ CONFIG_FILES = {
 
 _QUARTIC = ("1", "1", ["1/100"])
 _THREE_COUPLINGS = ("7/4", "5/3", ["1/2", "-1/3", "1/5"])
+# The quartic in physical units: one coupling off m = omega = 1, whose scaled
+# coupling is not an integer power.
+_PHYSICAL_QUARTIC = ("7/4", "5/3", ["3/7"])
 SERIES_CASES = {
     f"{label}_n{n}_l{l}": (spec, n, l)
-    for label, spec in (("quartic", _QUARTIC), ("three_couplings", _THREE_COUPLINGS))
+    for label, spec in (
+        ("quartic", _QUARTIC),
+        ("three_couplings", _THREE_COUPLINGS),
+        ("physical_quartic", _PHYSICAL_QUARTIC),
+    )
     for n, l in ((0, 0), (1, 2))
 }
 SERIES_ORDER = 32

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anharm.engine import EngineError, OrderTooLarge, _halve, _momentum_row, compute_series
+from anharm.engine import (
+    EngineError, OrderTooLarge, _common_power, _halve, _momentum_row, compute_series,
+)
 from anharm.model import make_potential, make_state
 from anharm.wavefunction import harmonic_d_coefficients
 
@@ -325,21 +327,74 @@ class TestIntegerFill:
         with pytest.raises(EngineError, match="odd numerator at C\\[2\\]\\[0\\]"):
             _halve(7, "C[2][0]")
 
-    @pytest.mark.parametrize("p", [7, 100, 113])
-    def test_coupling_denominator_stays_out_of_the_cells(self, p):
-        # v1 = 1/p fills on u_1 = v1 p = 1, so its integer rows are those of v1 = 1;
-        # a cell exponent of (2p)^(k+i) would make them differ by p^k.
+    @pytest.mark.parametrize(
+        "mass, omega, v1",
+        [
+            (1, 1, Fraction(1, 7)),
+            (1, 1, Fraction(1, 100)),
+            (1, 1, Fraction(1, 113)),
+            (Fraction(7, 4), Fraction(5, 3), Fraction(1, 97)),  # v~_1 = 432 / (97 7^2 5^3)
+            (1, 1, Fraction(3, 7)),
+        ],
+        ids=["7", "100", "113", "physical-97", "3/7"],
+    )
+    def test_coupling_denominator_stays_out_of_the_cells(self, mass, omega, v1):
+        # A single coupling fills on u_1 = 1 in the unit 1/v~_1, so its integer rows
+        # are those of v1 = 1 at m = omega = 1; a fill on u_1 = v~_1 D, or a cell
+        # exponent of (2D)^(k+i), would make them differ by u_1^i or D^k.
         state = make_state(1, 2)
-        scaled, _ = compute_series(make_potential(1, 1, [Fraction(1, p)]), state, 24)
-        unit, _ = compute_series(make_potential(1, 1, [1]), state, 24)
-        assert scaled._numerators == unit._numerators
-        assert scaled.row(3) == tuple(c * Fraction(1, p) ** i for i, c in enumerate(unit.row(3)))
+        scaled, _ = compute_series(make_potential(mass, omega, [v1]), state, 24)
+        one, _ = compute_series(make_potential(1, 1, [1]), state, 24)
+        assert scaled._numerators == one._numerators
+        mw, v = Fraction(mass * omega), _oscillator_units(scaled.potential)[0]
+        assert scaled.row(3) == tuple(mw ** (i - 2) * v**i * c for i, c in enumerate(one.row(3)))
 
     def test_denominator_base_needs_no_factoring(self):
-        # m omega = 35/12: gcd(lcm den(v~_i) = 5^6 7^4, lcm den(v_i / omega) num(m omega)^2)
+        # m omega = 35/12: D = gcd(lcm den(v~_i) = 5^6 7^4, lcm den(v_i / omega) num(m omega)^2)
+        # = 5^4 7^2, and u = v~_i D^i = 1080, -7560000, 47628000000 share G^i for G = 60
         couplings = [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]
         pot = make_potential(Fraction(7, 4), Fraction(5, 3), couplings)
-        assert _momentum_row(pot, 3)[0] == 5**4 * 7**2
+        assert _momentum_row(pot, 3)[:2] == (5**4 * 7**2, 60)
+
+    @pytest.mark.parametrize(
+        "couplings, power",
+        [
+            ([], 1),
+            ([0, 0], 1),
+            ([-5], 5),
+            ([4, 8], 2),
+            ([1080, -7560000, 47628000000], 60),  # a gcd step on 1080 loses the 3
+            ([0, 3**4 * 7**2, 0, 3**8 * 7**4 * 13], 3**2 * 7),
+            ([1009 * 1013, (1009 * 1013) ** 2 * 5], 1009 * 1013),  # past the trial bound
+        ],
+    )
+    def test_common_power(self, couplings, power):
+        assert _common_power(couplings) == power
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(st.one_of(st.just(Fraction(0)), _COUPLING), min_size=1, max_size=4),
+    )
+    def test_fill_runs_in_the_least_unit(self, mass, omega, couplings):
+        # The fill's couplings, read back from the momentum row
+        # N[0][i] = (sum_p N[0][p] N[0][i-p] - 2^(i+1) u_i) / 2, are v~_i (D/G)^i,
+        # integers that share no prime power q^i below 100 (the strategies' primes).
+        pot = make_potential(mass, omega, couplings)
+        d, g, c0 = _momentum_row(pot, len(couplings))
+        unit = Fraction(d, g)
+        fill = []
+        for i, v in enumerate(_oscillator_units(pot), start=1):
+            u = Fraction(sum(c0[p] * c0[i - p] for p in range(1, i)) - 2 * c0[i], 2 ** (i + 1))
+            assert u == v * unit**i and u.denominator == 1
+            fill.append((i, u.numerator))
+        nonzero = [(i, u) for i, u in fill if u]
+        if not nonzero:
+            assert unit == 1
+            return
+        for q in (p for p in range(2, 100) if all(p % f for f in range(2, p))):
+            assert not all(u % q**i == 0 for i, u in nonzero), q
 
 
 def _naive_fill(potential, state, order):
@@ -348,7 +403,7 @@ def _naive_fill(potential, state, order):
     No term is skipped: each convolution runs over every j and every p, and
     E_k takes its own convolution over j = 0..k.
     """
-    d, c0 = _momentum_row(potential, order - 1)
+    d, g, c0 = _momentum_row(potential, order - 1)
     rows, corrections = [c0], []
     for k in range(1, order + 1):
         rows.append([0] * order)
@@ -365,8 +420,7 @@ def _naive_fill(potential, state, order):
         acc = 2 * rows[k - 1][k - 1] + sum(
             rows[j][p] * rows[k - j][k - 1 - p] for j in range(k + 1) for p in range(k)
         )
-        scale = 4**k * d ** (k - 1) * potential.omega.denominator
-        corrections.append(Fraction(-acc * potential.omega.numerator, scale))
+        corrections.append(-acc * potential.omega * Fraction(g, d) ** (k - 1) / 4**k)
     return rows, corrections
 
 

@@ -171,6 +171,10 @@ class TestRationalSerialization:
         with pytest.raises(ProblemSpecError, match="exact rational required"):
             parse_rational(0.5)
 
+    def test_fraction_is_not_copied(self):
+        value = Fraction(-165, 8)
+        assert parse_rational(value) is value
+
     @given(st.fractions(), st.fractions())
     def test_arithmetic_exact_and_canonical(self, a, b):
         total = a + b

@@ -8,12 +8,11 @@ and cross-checks everything against an independent numeric radial solver.
 
 The names below are the library entry points and one base error per CLI exit
 code; everything else is reached through its module (`anharm.engine`,
-`anharm.wavefunction`, ...).  The names of `oracle` (`solve_radial`,
-`default_config`, `compare_with_series`, `OracleError`) and of `resummation`
-(`partial_sums`, `divergence_diagnostics`, `pade`) load their module on first
-access (PEP 562 `__getattr__`) and are the module's own objects: the solver
-is the largest module, and `anharm compute` and `anharm check-harmonic`
-never run it, nor does `check-harmonic` run the resummation.
+`anharm.wavefunction`, ...).  The names in `_LAZY`, those of `oracle` and
+`resummation`, load their module on first access (PEP 562 `__getattr__`) and
+are the module's own objects: the solver is the largest module, and
+`anharm compute` and `anharm check-harmonic` never run it, nor does
+`check-harmonic` run the resummation.
 """
 
 from .engine import EngineError, compute_series
@@ -28,24 +27,6 @@ from .model import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EnergySeries",
-    "EngineError",
-    "OracleError",
-    "PotentialSpec",
-    "ProblemSpecError",
-    "QuantumState",
-    "compare_with_series",
-    "compute_series",
-    "default_config",
-    "divergence_diagnostics",
-    "make_potential",
-    "make_state",
-    "pade",
-    "partial_sums",
-    "solve_radial",
-]
-
 _LAZY = {
     "OracleError": "oracle",
     "compare_with_series": "oracle",
@@ -55,6 +36,18 @@ _LAZY = {
     "pade": "resummation",
     "partial_sums": "resummation",
 }
+
+__all__ = [
+    "EnergySeries",
+    "EngineError",
+    "PotentialSpec",
+    "ProblemSpecError",
+    "QuantumState",
+    "compute_series",
+    "make_potential",
+    "make_state",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

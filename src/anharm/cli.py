@@ -401,7 +401,3 @@ def main(argv=None) -> int:
     except _loaded("oracle", "OracleError") as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

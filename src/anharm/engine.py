@@ -80,11 +80,9 @@ def _common_power(couplings: list[int]) -> int:
     u = 1080, -7560000, 47628000000 it finds 20, not 60).  What trial
     division leaves of c is a prime, or past the bound a product of larger
     primes taken whole: its powers keep G^i | u_i but may stop short of the
-    largest G.  c <= 1, which takes in every harmonic fill, returns 1 at once.
+    largest G.
     """
     c = math.gcd(*couplings)  # a zero coupling leaves the gcd as it is
-    if c <= 1:
-        return 1
     terms = [(i, u) for i, u in enumerate(couplings, start=1) if u]
     g, q = 1, 2
     while c > 1:
@@ -127,8 +125,7 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, int, list[i
     )
     u = [v.numerator * (d**i // v.denominator) for i, v in enumerate(scaled, start=1)]
     g = _common_power(u)
-    if g > 1:
-        u = [x // g**i for i, x in enumerate(u, start=1)]
+    u = [x // g**i for i, x in enumerate(u, start=1)]
     row = [-1]
     for i in range(1, imax + 1):
         acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))

@@ -15,7 +15,10 @@ size the default bracket, the second from the first's energy and each
 later one by the h^4 law's prediction.  Richardson extrapolation of
 Numerov's h^4 error gives the energy; the h^6 term that extrapolation
 leaves gives its error estimate, and the climb stops once that estimate is
-within 4 tolerances.  Everything here is floating point; it exists to
+within 4 tolerances.  Each rung is one _Rung record, built by _grid and
+read by name: the potential's floats, l, the step h, the Numerov scale
+k = (h^2/6) m, the energy-free factors tv, the sweep start s and the index
+top of the largest tv.  Everything here is floating point; it exists to
 validate the exact series from the outside.
 numpy is imported inside the functions that build arrays, so importing this
 module does not load it; the first solve does.
@@ -301,24 +304,31 @@ def _on_grid(floats, l: int, h: float, grid_points: int, scale: float):
     return v
 
 
-def _grid(floats, l: int, r_max: float, grid_points: int):
-    """(h, tv, s, top): the step h, the energy-free part tv_j of the Numerov
-    factor t_j = (h^2/12) 2m (V_eff(r_j) - E) at r_j = j h (j = 1..g), as a
-    list, the sweep start s, the least index with tv < 1 at r_(s+3): near the
-    origin t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once l >= 10 and would flip
-    the sign of U = y/(1 - t), and top, the first index of the largest tv from
-    s + 2 on, the points a sweep steps through.  s = 0 for l <= 9 on the
-    default grids."""
+_Rung = namedtuple("_Rung", "floats l h k tv s top")
+
+
+def _grid(floats, l: int, r_max: float, grid_points: int) -> _Rung:
+    """The rung of grid_points steps h = r_max / grid_points for angular
+    momentum l: the potential's floats and l as given, h, the Numerov scale
+    k = (h^2/6) m, tv = k V_eff(r_j), the energy-free part of the Numerov
+    factor t_j = (h^2/12) 2m (V_eff(r_j) - E) = tv_j - k E at r_j = j h
+    (j = 1..g), as a list, the sweep start s, the least index with tv < 1 at
+    r_(s+3): near the origin t ~ l(l+1)/(12 j^2) exceeds 1 at r = 3h once
+    l >= 10 and would flip the sign of U = y/(1 - t), and top, the first
+    index of the largest tv from s + 2 on, the points a sweep steps through.
+    s = 0 for l <= 9 on the default grids."""
     import numpy as np
 
     h = r_max / grid_points
-    tv = _on_grid(floats, l, h, grid_points, h * h / 6.0 * floats[0])
+    k = h * h / 6.0 * floats[0]
+    tv = _on_grid(floats, l, h, grid_points, k)
     s = int(np.argmax(tv[2:] < 1.0))
-    return h, tv.tolist(), s, s + 2 + int(np.argmax(tv[s + 2:]))
+    return _Rung(floats, l, h, k, tv.tolist(), s, s + 2 + int(np.argmax(tv[s + 2:])))
 
 
-def _integrate(floats, state, energy, h, tv, s):
-    """One outward Numerov sweep in summed form.
+def _integrate(rung: _Rung, energy: float):
+    """One outward Numerov sweep in summed form, on the rung's tv from its
+    start s, with t = tv - k E.
 
     Returns (interior node count, log |u(r_max)|), the log taken of the
     boundary value times _RESCALE_LIMIT**rescales.  The recurrence
@@ -333,8 +343,8 @@ def _integrate(floats, state, energy, h, tv, s):
     in the forbidden region to avoid overflow, which changes neither node
     locations nor the boundary sign.
     """
-    (m, omega, _, _), l = floats, state.l
-    c = h * h / 6.0 * m * energy
+    (m, omega, _, _), l, h, tv, s = rung.floats, rung.l, rung.h, rung.tv, rung.s
+    c = rung.k * energy
     u1c = -m * energy / (2 * l + 3)
     u2c = (-2.0 * m * energy * u1c + m * m * omega * omega) / (8 * l + 20)
     r1 = (s + 1) * h
@@ -366,14 +376,14 @@ def _integrate(floats, state, energy, h, tv, s):
     return nodes, math.log(u or 5e-324) + rescales * _LOG_RESCALE
 
 
-def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
-    """Shrink `bracket` around the energy where the node count jumps past n.
+def _bisect_on_nodes(rung: _Rung, n: int, tolerance: float, limits, seed):
+    """Shrink the bracket `seed` around the energy where the count jumps past n.
 
-    Sweeps the config's state on `grid`, the (h, tv, s, top) of _grid.  A bracket
+    Sweeps the rung (its floats, l, k, tv and s) by _integrate.  A bracket
     that misses the level steps toward it: its end on the level's side, with
     its node count and boundary value, becomes the far end of a bracket 16
-    times as wide, so each step sweeps one new end.  No end passes the
-    configured bracket, and a miss there raises BracketingFailure.  Then it
+    times as wide, so each step sweeps one new end.  No end passes `limits`,
+    the configured bracket, and a miss there raises BracketingFailure.  Then it
     bisects on the node count until nodes(lo) = n and nodes(hi) = n + 1,
     which isolates the level, and closes the bracket with secant steps on
     the boundary value u(r_max; E), whose zero is where the count jumps,
@@ -385,16 +395,14 @@ def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     that two equal values leave undefined, and any step after three that did
     not halve the bracket, bisects instead: far from the level |u| can change
     so little from one point to the next that secant steps only creep.
-    Returns (midpoint of the bracket at the config's tolerance, nodes at lo).
+    Returns (midpoint of the bracket at the tolerance, nodes at lo).
     """
-    state, tolerance = config.target_state, config.tolerance
-    n, (floor, ceiling) = state.n, config.bracket
-    h, tv, s, _ = grid
+    floor, ceiling = limits
 
     def sweep(energy):
-        return (energy, *_integrate(floats, state, energy, h, tv, s))
+        return (energy, *_integrate(rung, energy))
 
-    lo, hi = sweep(bracket[0]), sweep(bracket[1])
+    lo, hi = sweep(seed[0]), sweep(seed[1])
     while lo[1] > n:
         if lo[0] <= floor:
             raise BracketingFailure(
@@ -443,17 +451,17 @@ def _bisect_on_nodes(floats, config: OracleConfig, grid, bracket):
     return 0.5 * (lo[0] + hi[0]), lo[1]
 
 
-def _wkb_level(floats, n: int, grid, upper: float) -> float:
+def _wkb_level(rung: _Rung, n: int, upper: float) -> float:
     """The least energy, up to `upper`, at which the Langer-corrected WKB
-    phase on the (h, tv, s, top) of _grid reaches (n + 1/2) pi: _phase on
-    r_j = j h with 1/(8 m r^2) added to V_eff, which raises l(l+1) to
-    (l + 1/2)^2 (Langer, Phys. Rev. 51 (1937) 669), by _illinois from the
-    least such V_eff, where the phase is 0, to within 1e-6 max(omega, |E|)."""
+    phase on the rung reaches (n + 1/2) pi: _phase on r_j = j h with V_eff =
+    tv / k and 1/(8 m r^2) added, which raises l(l+1) to (l + 1/2)^2
+    (Langer, Phys. Rev. 51 (1937) 669), by _illinois from the least such
+    V_eff, where the phase is 0, to within 1e-6 max(omega, |E|)."""
     import numpy as np
 
-    (m, omega, _, _), (h, tv, _, _) = floats, grid
-    r = np.arange(1, len(tv) + 1) * h
-    v = np.array(tv, float) / (h * h / 6.0 * m) + 1.0 / (8.0 * m * r * r)
+    (m, omega, _, _), tv = rung.floats, rung.tv
+    r = np.arange(1, len(tv) + 1) * rung.h
+    v = np.array(tv, float) / rung.k + 1.0 / (8.0 * m * r * r)
     target = (n + 0.5) * math.pi
     gap = lambda e: _phase(m, r, v, e) - target
     return _illinois(gap, float(v.min()), -target, upper, gap(upper),
@@ -496,11 +504,10 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
     floats = _floats(potential)
     g, (n, l), (lo, hi) = config.grid_points, config.target_state, config.bracket
     tol = max(config.tolerance, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    config = config._replace(tolerance=tol)
     energies = []
     for size in [g >> k for k in range(6, -1, -1) if g >> k >= _FIRST_RUNG]:
         try:
-            h, tv, _, top = grid = _grid(floats, l, config.r_max, size)
+            rung = _grid(floats, l, config.r_max, size)
             if len(energies) > 1:
                 b, c = energies[-2:]
                 energy, width = c - (b - c) / 16.0, abs(b - c) / 32.0 + 2.0 * tol
@@ -508,16 +515,16 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
                 width = max(_SEED_WIDTH * max(floats[1], abs(energies[0])), tol)
                 energy = energies[0] + width
             else:
-                energy = _wkb_level(floats, n, grid, hi)
+                energy = _wkb_level(rung, n, hi)
                 width = _WKB_WIDTH * max(floats[1], abs(energy))
             energy = min(max(energy, lo), hi)
             seed = max(lo, energy - width), min(hi, energy + width)
             # Where t = tv - (h^2/6) m E reaches 1, U = y / (1 - t) flips sign.
-            peak = tv[top] - h * h / 6.0 * floats[0] * seed[0]
+            peak = rung.tv[rung.top] - rung.k * seed[0]
             if size < g // 2 and peak >= 1.0:
                 energies = []
                 continue
-            energy, node_count = _bisect_on_nodes(floats, config, grid, seed)
+            energy, node_count = _bisect_on_nodes(rung, n, tol, config.bracket, seed)
         except (OracleError, ValueError) as exc:
             if size < g // 2:
                 energies = []
@@ -525,7 +532,7 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
             if isinstance(exc, OracleError) and peak >= 1.0:
                 # At the peak's index j, t = (h^2/6) m (V - E) + l(l+1)/(12 j^2)
                 # falls as h^2 in its first part only.
-                j = top + 1
+                j = rung.top + 1
                 fixed = l * (l + 1) / (12.0 * j * j)
                 fixed = fixed if fixed < 1.0 else 0.0
                 needed = math.floor(size * math.sqrt((peak - fixed) / (1.0 - fixed))) + 1
@@ -553,9 +560,10 @@ def solve_radial(potential: PotentialSpec, config: OracleConfig) -> OracleResult
 
 
 def compare_with_series(
-    oracle_result: OracleResult, report: SummationReport, pade_value: float | None = None
+    oracle_result: OracleResult, report, pade_value: float | None = None
 ) -> ComparisonRecord:
-    """Deviation of each partial sum, and of `pade_value`, from the solver energy.
+    """Deviation of each partial sum of `report`, a resummation.SummationReport,
+    and of `pade_value`, from the solver energy.
 
     best_order is the 1-based truncation with minimal absolute deviation --
     the optimal-truncation point once the asymptotic growth takes over.

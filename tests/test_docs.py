@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import re
+import typing
 from pathlib import Path
 
 import anharm
@@ -23,6 +24,24 @@ def test_readme_python_blocks_run():
 def test_public_names_resolve():
     for name in anharm.__all__:
         assert getattr(anharm, name) is not None, name
+
+
+def test_annotations_resolve():
+    # typing.get_type_hints evaluates each annotation in its module, so a name
+    # the module never imports fails here rather than in a user's tooling.
+    for name in ["model", "engine", "resummation", "wavefunction", "oracle"]:
+        module = importlib.import_module(f"anharm.{name}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(value):
+                typing.get_type_hints(value)
+                for member in vars(value).values():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        typing.get_type_hints(member)
+            elif inspect.isfunction(value):
+                typing.get_type_hints(value)
 
 
 def test_readme_config_table_matches_the_cli():

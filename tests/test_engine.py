@@ -366,6 +366,8 @@ class TestIntegerFill:
             ([1080, -7560000, 47628000000], 60),  # a gcd step on 1080 loses the 3
             ([0, 3**4 * 7**2, 0, 3**8 * 7**4 * 13], 3**2 * 7),
             ([1009 * 1013, (1009 * 1013) ** 2 * 5], 1009 * 1013),  # past the trial bound
+            ([1], 1),
+            ([3, -2], 1),
         ],
     )
     def test_common_power(self, couplings, power):

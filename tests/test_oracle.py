@@ -109,18 +109,18 @@ def swept(monkeypatch):
     sizes = []
     sweep = oracle._integrate
 
-    def counted(*args):
-        sizes.append(len(args[4]))
-        return sweep(*args)
+    def counted(rung, energy):
+        sizes.append(len(rung.tv))
+        return sweep(rung, energy)
 
     monkeypatch.setattr(oracle, "_integrate", counted)
     return sizes
 
 
-def _rung_position(seen, grid):
-    """Position, counted from the coarsest, of the rung on `grid` among the
-    rung sizes in `seen`, the sizes so far in the order they were first met."""
-    size = len(grid[1])
+def _rung_position(seen, rung):
+    """Position, counted from the coarsest, of `rung` among the rung sizes in
+    `seen`, the sizes so far in the order they were first met."""
+    size = len(rung.tv)
     if size not in seen:
         seen.append(size)
     return seen.index(size)
@@ -162,9 +162,8 @@ class TestHarmonicSpectrum:
         assert result.node_count == n
         assert abs(result.energy - exact) <= result.residual_estimate + 1e-11
         # One sweep at the level, in a box that ends at its turning point sqrt(2E).
-        floats = oracle._floats(HARMONIC)
-        h, tv, s, _ = oracle._grid(floats, l, math.sqrt(2 * result.energy), 4000)
-        assert oracle._integrate(floats, state, result.energy, h, tv, s)[0] == n
+        rung = oracle._grid(oracle._floats(HARMONIC), l, math.sqrt(2 * result.energy), 4000)
+        assert oracle._integrate(rung, result.energy)[0] == n
 
     @pytest.mark.parametrize(
         "sweep, expected", PINNED_SWEEPS,
@@ -174,9 +173,8 @@ class TestHarmonicSpectrum:
         """E = 1e4 crosses 452 nodes, E = 1 in a box of 40 grows past
         _RESCALE_LIMIT, and l = 12 starts the sweep one point out (s = 1)."""
         potential, l, energy, r_max, grid_points = sweep
-        floats = oracle._floats(potential)
-        h, tv, s, _ = oracle._grid(floats, l, r_max, grid_points)
-        assert repr(oracle._integrate(floats, make_state(0, l), energy, h, tv, s)) == expected
+        rung = oracle._grid(oracle._floats(potential), l, r_max, grid_points)
+        assert repr(oracle._integrate(rung, energy)) == expected
 
     def test_large_l_eigenfunction(self):
         # U ~ r^301 exp(-r^2 / 2) grows by ~1e400 up to its peak at sqrt(301),
@@ -186,9 +184,8 @@ class TestHarmonicSpectrum:
         result = solve_radial(HARMONIC, config)
         assert result.node_count == 0
         assert abs(result.energy - 301.5) <= result.residual_estimate
-        floats = oracle._floats(HARMONIC)
-        h, tv, s, _ = oracle._grid(floats, 300, config.r_max, 4000)
-        _, size = oracle._integrate(floats, state, config.bracket[0], h, tv, s)
+        rung = oracle._grid(oracle._floats(HARMONIC), 300, config.r_max, 4000)
+        _, size = oracle._integrate(rung, config.bracket[0])
         assert size > oracle._LOG_RESCALE  # at least one rescale
 
 
@@ -281,14 +278,14 @@ class TestLadder:
         bisect, wkb = oracle._bisect_on_nodes, oracle._wkb_level
         calls, seen, levels = [], [], []
 
-        def first_fails(floats, config, grid, bracket):
-            calls.append((len(grid[1]), bracket))
-            if _rung_position(seen, grid) == 0:
+        def first_fails(rung, n, tolerance, limits, seed):
+            calls.append((len(rung.tv), seed))
+            if _rung_position(seen, rung) == 0:
                 raise BracketingFailure("no level on the first rung")
-            return bisect(floats, config, grid, bracket)
+            return bisect(rung, n, tolerance, limits, seed)
 
-        def wkb_level(floats, n, grid, upper):
-            levels.append(wkb(floats, n, grid, upper))
+        def wkb_level(rung, n, upper):
+            levels.append(wkb(rung, n, upper))
             return levels[-1]
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", first_fails)
@@ -310,11 +307,11 @@ class TestLadder:
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect = oracle._bisect_on_nodes
 
-        def fine_fails(floats, config, grid, bracket):
-            size = len(grid[1])
+        def fine_fails(rung, *args):
+            size = len(rung.tv)
             if size < 2000 or size == fails_at:
                 raise NotConverged(f"no level on {size} points")
-            return bisect(floats, config, grid, bracket)
+            return bisect(rung, *args)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", fine_fails)
         with pytest.raises(NotConverged, match=f"no level on {fails_at} points"):
@@ -329,10 +326,10 @@ class TestLadder:
         config = default_config(WEAK, make_state(1, 1), grid_points=4000)
         bisect, seen = oracle._bisect_on_nodes, []
 
-        def coarse_neighbour(floats, config, grid, bracket):
-            if _rung_position(seen, grid) == 0:
+        def coarse_neighbour(rung, *args):
+            if _rung_position(seen, rung) == 0:
                 return wrong.energy, neighbour.n
-            return bisect(floats, config, grid, bracket)
+            return bisect(rung, *args)
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", coarse_neighbour)
         result = solve_radial(WEAK, config)
@@ -351,8 +348,8 @@ class TestFirstRung:
         # The Langer-corrected WKB level of the oscillator is exact; the
         # 250-point sum misses it by far less than the seed's half width.
         config = default_config(HARMONIC, make_state(*state))
-        grid = oracle._grid(oracle._floats(HARMONIC), state[1], config.r_max, 250)
-        level = oracle._wkb_level(oracle._floats(HARMONIC), state[0], grid, config.bracket[1])
+        rung = oracle._grid(oracle._floats(HARMONIC), state[1], config.r_max, 250)
+        level = oracle._wkb_level(rung, state[0], config.bracket[1])
         assert abs(level - (2 * state[0] + state[1] + 1.5)) <= 2e-3 * level
 
     @pytest.mark.parametrize("upper", [0.25, 1.0, 1.49], ids=["below-the-potential", "below", "just-below"])
@@ -361,8 +358,8 @@ class TestFirstRung:
         `upper` itself when the level 1.5 lies above it, and also where the
         Langer-corrected V_eff, least 0.5 near r = 0.71, does."""
         config = default_config(HARMONIC, make_state(0, 0))
-        grid = oracle._grid(oracle._floats(HARMONIC), 0, config.r_max, 250)
-        assert oracle._wkb_level(oracle._floats(HARMONIC), 0, grid, upper) == upper
+        rung = oracle._grid(oracle._floats(HARMONIC), 0, config.r_max, 250)
+        assert oracle._wkb_level(rung, 0, upper) == upper
 
     @pytest.mark.parametrize("bracket", [(0.5, 1.49), (1.51, 3.0)], ids=["below", "above"])
     def test_bracket_that_excludes_the_level_is_never_left(self, monkeypatch, bracket):
@@ -371,9 +368,9 @@ class TestFirstRung:
         energies = []
         sweep = oracle._integrate
 
-        def recorded(floats, state, energy, h, tv, s):
+        def recorded(rung, energy):
             energies.append(energy)
-            return sweep(floats, state, energy, h, tv, s)
+            return sweep(rung, energy)
 
         monkeypatch.setattr(oracle, "_integrate", recorded)
         config = default_config(HARMONIC, make_state(0, 0), grid_points=2000, bracket=bracket)
@@ -485,11 +482,11 @@ class TestRichardsonLadder:
         g, bisect, seen = config.grid_points, oracle._bisect_on_nodes, []
         energies = {}
 
-        def off_the_law(floats, config, grid, bracket):
-            size, position = len(grid[1]), _rung_position(seen, grid)
+        def off_the_law(rung, *args):
+            size, position = len(rung.tv), _rung_position(seen, rung)
             if size < g // 2 and fault == "error":
                 raise NotConverged(f"no level on {size} points")
-            level, nodes = bisect(floats, config, grid, bracket)
+            level, nodes = bisect(rung, *args)
             shift = (-1) ** position * 1e-9 if size < g and fault == "shift" else 0.0
             energies[size] = level + shift
             return energies[size], nodes
@@ -513,11 +510,11 @@ class TestRichardsonLadder:
         shift = dict(zip((2, 3, 4), (0.45 * s * config.tolerance for s in signs)))
         bisect, seen = oracle._bisect_on_nodes, []
 
-        def shifted(floats, config, grid, bracket):
-            position = _rung_position(seen, grid)
+        def shifted(rung, *args):
+            position = _rung_position(seen, rung)
             if position < 2:
                 raise NotConverged(f"no level on rung {position}")
-            energy, nodes = bisect(floats, config, grid, bracket)
+            energy, nodes = bisect(rung, *args)
             return energy + shift.get(position, 0.0), nodes
 
         monkeypatch.setattr(oracle, "_bisect_on_nodes", shifted)

@@ -132,8 +132,8 @@ class TestLogDerivativeEvaluation:
         steps = 10000
         floats, logs = _floats(pot), []
         for k in (-2, -1, 1, 2):
-            h, tv, s, _ = _grid(floats, state.l, (steps + k) / steps, steps + k)
-            logs.append(_integrate(floats, state, energy, h, tv, s)[1])
+            rung = _grid(floats, state.l, (steps + k) / steps, steps + k)
+            logs.append(_integrate(rung, energy)[1])
         numeric = (logs[0] - 8 * logs[1] + 8 * logs[2] - logs[3]) * steps / 12
         truncated = log_derivative(table, 1.0, 6)
         assert abs(numeric - truncated) < 1e-4

@@ -46,6 +46,7 @@ nonzero entry of a row read; every zero entry is one shared Fraction(0).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -53,6 +54,8 @@ from .model import EnergySeries, PotentialSpec, QuantumState
 
 DEFAULT_MAX_ORDER = 64
 _ZERO = Fraction(0)
+# A row's nonzero span: columns first..last, their entries and the same reversed.
+_Span = namedtuple("_Span", "first last entries backward")
 
 
 class EngineError(Exception):
@@ -183,18 +186,16 @@ class CoefficientTable:
         return self._rows[k]
 
 
-def _convolution(
-    spans: list, backs: list, first: list, last: list, k: int, width: int
-) -> tuple[list, int, int]:
+def _convolution(spans: list, k: int, width: int) -> tuple[list, int, int]:
     """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for i < width, and
     the first and last columns reached.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
-    value).  spans[j] holds row j's columns first[j]..last[j] and backs[j]
-    the same reversed, so at column i one slice lines up every p with
-    first[j] <= p <= last[j] and first[k-j] <= i-p <= last[k-j]; `map` stops
-    at the shorter operand.  The columns reached are those that a pair of
-    nonzero rows reaches: the first is `width` and the last -1 when none does.
+    value).  spans[j], row j's _Span, has `entries` in columns first..last
+    and `backward` the same reversed, so at column i one slice lines up every
+    p with first[j] <= p <= last[j] and first[k-j] <= i-p <= last[k-j]; `map`
+    stops at the shorter operand.  The columns reached are those that a pair
+    of nonzero rows reaches: the first is `width` and the last -1 when none does.
     """
     conv = [0] * width
     low = width  # the first column reached
@@ -203,15 +204,15 @@ def _convolution(
         m = k - j
         if j == m:  # every pair before the middle one stands for its mirror too
             conv[:reach] = [2 * x for x in conv[:reach]]
-        fa, la, lb = first[j], last[j], last[m]
-        start, stop = fa + first[m], la + lb + 1
+        fa, la, a, _ = spans[j]
+        fb, lb, _, b = spans[m]
+        start, stop = fa + fb, la + lb + 1
         if start >= stop:
             continue  # a zero row
         if start < low:
             low = start
         if stop > reach:
             reach = stop
-        a, b = spans[j], backs[m]
         for i in range(start, stop if stop < width else width):
             # a[q] = N[j][fa + q] meets b[d + q] = N[m][i - fa - q]
             d = lb + fa - i
@@ -259,10 +260,11 @@ def compute_series(
                     - 4 l(l+1) (k==2)(i==0) ] / 2,
         E_k = -omega (2 N[k-1][k-1] + conv) G^(k-1) / (4^k D^(k-1)).
 
-    With first[j] and last[j] the first and last nonzero columns of row j
-    (row 0 included), the pair (j, k-j) enters the convolution at column i
-    only through p in [max(first[j], i - last[k-j]), min(last[j], i - first[k-j])],
-    and the momentum term stops at p = i - first[k].  The residue column's
+    With first[j] and last[j] the first and last nonzero columns of row j,
+    kept in its _Span record with the entries between them (row 0 included),
+    the pair (j, k-j) enters the convolution at column i only through p in
+    [max(first[j], i - last[k-j]), min(last[j], i - first[k-j])], and the
+    momentum term stops at p = i - first[k].  The residue column's
     cell sum lacks only the p = 0 term 2 c~_0 N[k][k-1] of the bracket of
     E_k, so E_k needs no second convolution.  Without a momentum term, row k
     is filled through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
@@ -282,24 +284,23 @@ def compute_series(
             "raise max_order explicitly if the big-integer growth is acceptable"
         )
     d, g, c0 = _momentum_row(potential, order - 1)
-    momentum = any(c0[1:])
-    # first[j], last[j]: the first and last nonzero columns of row j; a zero
-    # row has first = order and last = -1, so it reaches no column
-    first, last = [0], [max(i for i, x in enumerate(c0) if x)]
-    spans, backs = [c0[:last[0] + 1]], [c0[last[0]::-1]]
-    tail = spans[0][1:]
+    # one _Span per row; a zero row has first = order and last = -1, so it
+    # reaches no column
+    top = max(i for i, x in enumerate(c0) if x)
+    spans = [_Span(0, top, c0[:top + 1], c0[top::-1])]
+    tail = spans[0].entries[1:]  # empty exactly when there is no momentum term
     rows = [c0]
     omega = potential.omega
     corrections = []
     for k in range(1, order + 1):
         prev = rows[k - 1]
-        conv, low, reach = _convolution(spans, backs, first, last, k, order)
+        conv, low, reach = _convolution(spans, k, order)
         # Without a momentum term the row is zero past `end`: the convolution
         # is zero past the last column that a pair of nonzero entries reaches,
         # and on a harmonic fill that is column 0.
-        end = order - 1 if momentum else min(max(last[k - 1], reach, 0), order - 1)
+        end = order - 1 if tail else min(max(spans[k - 1].last, reach, 0), order - 1)
         # The row is zero before `start`, the first column a term reaches.
-        start = min(first[k - 1], low, k - 1, end + 1)
+        start = min(spans[k - 1].first, low, k - 1, end + 1)
         energy = 0  # the residue column's bracket, when the row ends before it
         row, lo, hi = [0] * start, order, -1
         for i in range(start, end + 1):
@@ -320,10 +321,8 @@ def compute_series(
             if n:
                 lo, hi = min(lo, i), i
         rows.append(row + [0] * (order - 1 - end))
-        first.append(lo)
-        last.append(hi)
-        spans.append(row[lo:hi + 1])
-        backs.append(spans[k][::-1])
+        entries = row[lo:hi + 1]
+        spans.append(_Span(lo, hi, entries, entries[::-1]))
         scale = 4**k * d ** (k - 1) * omega.denominator
         corrections.append(Fraction(-energy * omega.numerator * g ** (k - 1), scale))
     return CoefficientTable(potential, state, d, g, rows), EnergySeries(tuple(corrections))

@@ -46,7 +46,7 @@ def parse_rational(value) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ProblemSpecError(f"not a rational number: {value!r}") from exc
 
 

@@ -65,7 +65,7 @@ class BracketingFailure(OracleError):
 
 
 class NotConverged(OracleError):
-    """Bisection stalled before reaching the requested tolerance."""
+    """The bracket was still wider than the tolerance after _MAX_STEPS steps."""
 
 
 def _check_bracket(lo: float, hi: float) -> None:
@@ -395,6 +395,7 @@ def _bisect_on_nodes(rung: _Rung, n: int, tolerance: float, limits, seed):
     that two equal values leave undefined, and any step after three that did
     not halve the bracket, bisects instead: far from the level |u| can change
     so little from one point to the next that secant steps only creep.
+    A midpoint is lo/2 + hi/2, finite wherever both ends are.
     Returns (midpoint of the bracket at the tolerance, nodes at lo).
     """
     floor, ceiling = limits
@@ -426,12 +427,7 @@ def _bisect_on_nodes(rung: _Rung, n: int, tolerance: float, limits, seed):
                 f"bracket width {hi[0] - lo[0]:.3e} after {steps} steps "
                 f"(tolerance {tolerance:.3e})"
             )
-        energy = 0.5 * (lo[0] + hi[0])
-        if energy <= lo[0] or energy >= hi[0]:
-            raise NotConverged(
-                f"bisection stalled at machine resolution, width {hi[0] - lo[0]:.3e} "
-                f"> tolerance {tolerance:.3e}"
-            )
+        energy = 0.5 * lo[0] + 0.5 * hi[0]
         if lo[1] == n and hi[1] == n + 1 and hi[0] - lo[0] <= 0.5 * widths[0]:
             # u(prev) / u(last)
             ratio = math.exp(max(-700.0, min(700.0, prev[2] - last[2])))
@@ -448,7 +444,7 @@ def _bisect_on_nodes(rung: _Rung, n: int, tolerance: float, limits, seed):
         else:
             lo = last
         steps += 1
-    return 0.5 * (lo[0] + hi[0]), lo[1]
+    return 0.5 * lo[0] + 0.5 * hi[0], lo[1]
 
 
 def _wkb_level(rung: _Rung, n: int, upper: float) -> float:

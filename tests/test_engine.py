@@ -321,6 +321,53 @@ class TestExactProperties:
         assert all(r == 0 for r in riccati_residuals(table, series))
 
 
+def _product(a, b):
+    """Two series multiplied as far as both reach."""
+    return [sum(a[p] * b[i - p] for p in range(i + 1)) for i in range(min(len(a), len(b)))]
+
+
+def _alternating(pairs):
+    """a_1 b_1 - a_2 b_2 + a_3 b_3 - ..., as far as every product reaches."""
+    products = [_product(a, b) for a, b in pairs]
+    return [sum((-1) ** i * q[t] for i, q in enumerate(products)) for t in range(min(map(len, products)))]
+
+
+def _newton_holds(table, n):
+    """Whether the pole triangle's p_m = sum_i (C[m+1+i][i] / 2) g^i, m = 1..K-1,
+    are the power sums of n series in g: Newton's identities
+    k e_k = sum_{i=1}^{k} (-1)^(i-1) e_(k-i) p_i give e_1..e_n, and every p_m
+    with m > n must equal sum_{i=1}^{n} (-1)^(i-1) e_i p_(m-i) on the terms
+    both sides have.  For n = 0 every p_m is zero."""
+    order = table.order
+    p = [None] + [[table.row(m + 1 + i)[i] / 2 for i in range(order - m)] for m in range(1, order)]
+    e = [[Fraction(1)] + [0] * order]
+    for k in range(1, n + 1):
+        e.append([x / k for x in _alternating((e[k - i], p[i]) for i in range(1, k + 1))])
+    for m in range(n + 1, order):
+        expected = _alternating((e[i], p[m - i]) for i in range(1, n + 1)) if n else [0] * len(p[m])
+        if p[m] != expected[:len(p[m])]:
+            return False
+    return True
+
+
+class TestPoleTriangle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(_COUPLING, max_size=3),
+        n_order=st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 2, 16))),
+        l=st.integers(0, 3),
+    )
+    def test_pole_triangle_is_n_power_sums(self, mass, omega, couplings, n_order, l):
+        # Below the residue column, C[k][i] with i <= k-2, an n-node table holds the
+        # power sums of n series, the nodes' squared radii; n - 1 series do not fit.
+        n, order = n_order
+        table, _ = compute_series(make_potential(mass, omega, couplings), make_state(n, l), order)
+        assert _newton_holds(table, n)
+        assert n == 0 or not _newton_holds(table, n - 1)
+
+
 class TestIntegerFill:
     def test_odd_numerator_raises(self):
         assert _halve(-6, "C[1][1]") == -3

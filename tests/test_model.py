@@ -1,5 +1,6 @@
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,11 @@ class TestRationalSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(ProblemSpecError):
             parse_rational("3/4/5")
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_decimal_rejected(self, text):
+        with pytest.raises(ProblemSpecError, match="not a rational number"):
+            parse_rational(Decimal(text))
 
     def test_float_rejected(self):
         with pytest.raises(ProblemSpecError, match="exact rational required"):

@@ -716,6 +716,16 @@ class TestFailureModes:
         with pytest.raises(NotConverged, match=r"after 3 steps \(tolerance 1\.000e-12\)"):
             solve_radial(HARMONIC, config)
 
+    def test_bisection_near_the_largest_float(self, monkeypatch):
+        """lo + hi overflows on a bracket near 1.7e308; lo/2 + hi/2 does not,
+        so the bisection closes on the level there like anywhere else."""
+        level = 1.3e308
+        monkeypatch.setattr(oracle, "_integrate", lambda rung, energy: (2 + (energy > level), 0.0))
+        tolerance = 4 * math.ulp(1.7e308)
+        seed = (0.9e308, 1.7e308)
+        energy, nodes = oracle._bisect_on_nodes(None, 2, tolerance, seed, seed)
+        assert nodes == 2 and abs(energy - level) <= tolerance
+
     @pytest.mark.parametrize(
         "potential, name",
         [

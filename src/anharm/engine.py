@@ -30,17 +30,32 @@ with the power of 2 as the only denominator, and the exponent rule reads
 row 0 included.  Every N[k][i] carries i log2(G) bits fewer than in a fill
 on v~_i D^i.  Every product N[j][p] N[k-j][i-p] of a convolution sits at
 exponent k+i, so the fill is gcd-free big-integer dot products; the only
-division, by 2, is exact and checked.
+divisions, by 2 and by the node series' 4^n n!, are exact and checked.
 
-Zeros are skipped by position.  Row j is nonzero only in columns
+The pole triangle, the cells below the residue column, is fixed by n
+series.  In the expansion in hbar at fixed r, the wavefunction's n nodes, at
+squared radii a_j of order hbar, fall onto the origin, and beyond the simple
+pole of the factor r^(l+1) the poles of C there are the Laurent expansion of
+
+    hbar sum_j 2r / (r^2 - a_j) = 2 hbar sum_m (sum_j a_j^m) r^(-1-2m).
+
+Its r^(-1-2m) coefficient, collected over the orders, is diagonal m of the
+table, R_m(x) = sum_i N[m+1+i][i] x^i, so R_m is 4 times the m-th power sum
+of n series b_j(x), the a_j rescaled to the fill's integers.  A power sum of n series is
+fixed by the first n through Newton's identities, so every cell on a
+diagonal m > n follows from R_1..R_n by the integer identity of
+`_NodeSeries`: n dot products of length i+1 per cell, where the convolution
+makes about (k/2)(i+1).  The recursion fills only the columns from k-1-n on:
+R_1..R_n, the residue column and the regular part.  For n = 0 the pole
+triangle is zero, so a ground-state table is an upper triangle.
+
+Zeros are also skipped by position.  Row j is nonzero only in columns
 first[j]..last[j], read from the row itself, and a convolution multiplies
-only entries inside those spans.  This pays on nodeless states: for n = 0,
-C_k (k >= 2) has no pole at the origin, so row k starts at column k and a
-ground-state table is an upper triangle.  In a fill without a momentum term,
-that is every harmonic potential and couplings that are zero up to K-1,
-row k ends at the last column that row k-1 or a pair of rows reaches, and
-the rest of the row is zeros.  One `Fraction` is built per energy and per
-nonzero entry of a row read; every zero entry is one shared Fraction(0).
+only entries inside those spans.  Without a momentum term, that is every
+harmonic potential and couplings that are zero up to K-1, the fill is the
+harmonic one: every row is zero past column 0.  One `Fraction` is built per
+nonzero energy and per nonzero entry of a row read; every zero is one shared
+Fraction(0).
 """
 
 from __future__ import annotations
@@ -48,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import getitem, mul
 
 from .model import EnergySeries, PotentialSpec, QuantumState
 
@@ -186,40 +201,90 @@ class CoefficientTable:
         return self._rows[k]
 
 
-def _convolution(spans: list, k: int, width: int) -> tuple[list, int, int]:
-    """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for i < width, and
-    the first and last columns reached.
+def _convolution(spans: list, k: int, first: int, width: int) -> list:
+    """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for first <= i < width,
+    and zero below first.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
     value).  spans[j], row j's _Span, has `entries` in columns first..last
     and `backward` the same reversed, so at column i one slice lines up every
     p with first[j] <= p <= last[j] and first[k-j] <= i-p <= last[k-j]; `map`
-    stops at the shorter operand.  The columns reached are those that a pair
-    of nonzero rows reaches: the first is `width` and the last -1 when none does.
+    stops at the shorter operand.
     """
     conv = [0] * width
-    low = width  # the first column reached
-    reach = 0  # one past the last column reached
+    if first >= width:
+        return conv
+    reach = 0  # past every column that a pair reaches
     for j in range(1, k // 2 + 1):
         m = k - j
         if j == m:  # every pair before the middle one stands for its mirror too
-            conv[:reach] = [2 * x for x in conv[:reach]]
+            conv[first:reach] = [2 * x for x in conv[first:reach]]
         fa, la, a, _ = spans[j]
         fb, lb, _, b = spans[m]
         start, stop = fa + fb, la + lb + 1
-        if start >= stop:
-            continue  # a zero row
-        if start < low:
-            low = start
         if stop > reach:
             reach = stop
-        for i in range(start, stop if stop < width else width):
+        for i in range(start if start > first else first, stop if stop < width else width):
             # a[q] = N[j][fa + q] meets b[d + q] = N[m][i - fa - q]
             d = lb + fa - i
             conv[i] += sum(map(mul, a, b[d:])) if d >= 0 else sum(map(mul, a[-d:], b))
     if k % 2:
-        conv[:reach] = [2 * x for x in conv[:reach]]
-    return conv, low, reach - 1
+        conv[first:reach] = [2 * x for x in conv[first:reach]]
+    return conv
+
+
+class _NodeSeries:
+    """The node series of an n-node fill (n >= 1), and the cells below column
+    k-1-n of row k that they fix.
+
+    R_m[q] = N[m+1+q][q] is diagonal m of the pole triangle.  e[j] holds the
+    coefficients of E_j so far, e[0] = 1, 0, 0, ...; before row k's cells are
+    read they are extended to degree count-1, by
+
+        E_j = sum_{t=1}^{j} (-1)^(t-1) ((j-1)!/(j-t)!) 4^(t-1) E_(j-t) R_t.
+
+    Cell i lies on diagonal m = k-1-i > n, where, with L = 4^n n!,
+
+        N[k][i] = sum_{j=1}^{n} (-1)^(j-1) (L/(4^j j!)) [x^i](E_j R_(m-j)) / L.
+
+    Every operand lies in a row before k.
+    """
+
+    __slots__ = ("e", "weights", "whole")
+
+    def __init__(self, n: int, order: int):
+        self.e = [[1] + [0] * order] + [[] for _ in range(n)]
+        self.whole = 4**n * math.factorial(n)
+        self.weights = [(-1) ** (j - 1) * self.whole // (4**j * math.factorial(j))
+                        for j in range(1, n + 1)]
+
+    def cells(self, rows: list, k: int, count: int) -> list:
+        """N[k][0..count-1], for count <= k-1-n."""
+        e, whole = self.e, self.whole
+        for p in range(len(e[1]), count):
+            back = range(p, -1, -1)
+            for j in range(1, len(e)):
+                acc, c = 0, 1  # c = (-1)^(t-1) ((j-1)!/(j-t)!) 4^(t-1)
+                for t in range(1, j + 1):
+                    # R_t[p], R_t[p-1], ..., R_t[0]
+                    acc += c * sum(map(mul, e[j - t], map(getitem, rows[t + 1 + p:t:-1], back)))
+                    c *= 4 * (t - j)
+                e[j].append(acc)
+        row = []
+        for i in range(count):
+            back = range(i, -1, -1)
+            acc = 0
+            for j, w in enumerate(self.weights, start=1):
+                # R_(m-j)[i], ..., R_(m-j)[0] for m = k-1-i
+                acc += w * sum(map(mul, e[j], map(getitem, rows[k - j:k - 1 - i - j:-1], back)))
+            cell, rest = divmod(acc, whole)
+            if rest:
+                raise EngineError(
+                    f"numerator at C[{k}][{i}] is not a multiple of {whole}: "
+                    "the node series lost exactness"
+                )
+            row.append(cell)
+        return row
 
 
 def compute_series(
@@ -260,20 +325,18 @@ def compute_series(
                     - 4 l(l+1) (k==2)(i==0) ] / 2,
         E_k = -omega (2 N[k-1][k-1] + conv) G^(k-1) / (4^k D^(k-1)).
 
-    With first[j] and last[j] the first and last nonzero columns of row j,
-    kept in its _Span record with the entries between them (row 0 included),
-    the pair (j, k-j) enters the convolution at column i only through p in
+    The cells below column k-1-n, on the pole triangle's diagonals m > n,
+    come from the node series instead (module docstring, `_NodeSeries`), and
+    the convolution skips their columns; for n = 0 they are zero.  With
+    first[j] and last[j] the first and last nonzero columns of row j, kept in
+    its _Span record with the entries between them (row 0 included), the
+    pair (j, k-j) enters the convolution at column i only through p in
     [max(first[j], i - last[k-j]), min(last[j], i - first[k-j])], and the
-    momentum term stops at p = i - first[k].  The residue column's
-    cell sum lacks only the p = 0 term 2 c~_0 N[k][k-1] of the bracket of
-    E_k, so E_k needs no second convolution.  Without a momentum term, row k
-    is filled through column max(last[k-1], reach, 0), reach = max_{j=1}^{k-1}
-    last[j] + last[k-j] over nonzero rows, and padded with zeros: past it no
-    term of a cell is nonzero.  Likewise row k starts at column
-    min(first[k-1], min_j first[j] + first[k-j], k-1) and before it holds
-    zeros: there every term but the momentum term is zero, and that one
-    reads the row's own earlier cells.  Row 1 starts at column 0, its
-    residue 2n+l+1, so row 2 starts at column 0, where l(l+1) enters.
+    momentum term stops at p = i - first[k].  The residue column's cell sum
+    lacks only the p = 0 term 2 c~_0 N[k][k-1] of the bracket of E_k, so E_k
+    needs no second convolution.  Without a momentum term, row 1 is
+    2n+l+1 in column 0 and zeros, and by induction every term of a cell in a
+    column i >= 1 is zero, so each row is filled through column 0 only.
     Each E_k is built as one Fraction of integers.
     """
     if order < 1:
@@ -290,20 +353,25 @@ def compute_series(
     spans = [_Span(0, top, c0[:top + 1], c0[top::-1])]
     tail = spans[0].entries[1:]  # empty exactly when there is no momentum term
     rows = [c0]
+    nodes = _NodeSeries(state.n, order) if state.n else None
     omega = potential.omega
     corrections = []
     for k in range(1, order + 1):
         prev = rows[k - 1]
-        conv, low, reach = _convolution(spans, k, order)
-        # Without a momentum term the row is zero past `end`: the convolution
-        # is zero past the last column that a pair of nonzero entries reaches,
-        # and on a harmonic fill that is column 0.
-        end = order - 1 if tail else min(max(spans[k - 1].last, reach, 0), order - 1)
-        # The row is zero before `start`, the first column a term reaches.
-        start = min(spans[k - 1].first, low, k - 1, end + 1)
+        # Without a momentum term the fill is the harmonic one, zero past column 0.
+        end = order - 1 if tail else 0
+        # the cells below column k-1-n, which the node series fix; the
+        # recursion fills the rest
+        count = min(max(k - 1 - state.n, 0), end + 1)
+        conv = _convolution(spans, k, count, end + 1)
+        row, lo, hi = [0] * count, order, -1
+        if nodes and count:
+            row = nodes.cells(rows, k, count)
+            nonzero = [i for i, n in enumerate(row) if n]
+            if nonzero:
+                lo, hi = nonzero[0], nonzero[-1]
         energy = 0  # the residue column's bracket, when the row ends before it
-        row, lo, hi = [0] * start, order, -1
-        for i in range(start, end + 1):
+        for i in range(count, end + 1):
             acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + conv[i]
             if lo < i:
                 # reversed(row) runs C[k][i-1], C[k][i-2], ..., pairing
@@ -323,6 +391,9 @@ def compute_series(
         rows.append(row + [0] * (order - 1 - end))
         entries = row[lo:hi + 1]
         spans.append(_Span(lo, hi, entries, entries[::-1]))
-        scale = 4**k * d ** (k - 1) * omega.denominator
-        corrections.append(Fraction(-energy * omega.numerator * g ** (k - 1), scale))
+        if energy:
+            scale = 4**k * d ** (k - 1) * omega.denominator
+            corrections.append(Fraction(-energy * omega.numerator * g ** (k - 1), scale))
+        else:
+            corrections.append(_ZERO)
     return CoefficientTable(potential, state, d, g, rows), EnergySeries(tuple(corrections))

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anharm.engine import (
-    EngineError, OrderTooLarge, _common_power, _halve, _momentum_row, compute_series,
+    EngineError, OrderTooLarge, _common_power, _halve, _momentum_row, _NodeSeries, compute_series,
 )
 from anharm.model import make_potential, make_state
 from anharm.wavefunction import harmonic_d_coefficients
 
 from conftest import closed_form_corrections, coefficient, random_problem, riccati_residuals
+from exact_reference import reference_energies
 
 
 def binomial_sqrt_momentum(potential, imax):
@@ -479,9 +480,9 @@ class TestSkipRule:
         mass=_POSITIVE,
         omega=_POSITIVE,
         couplings=st.lists(st.one_of(st.just(Fraction(0)), _COUPLING), max_size=3),
-        n=st.integers(0, 3),
+        n=st.integers(0, 5),
         l=st.integers(0, 4),
-        order=st.integers(1, 12),
+        order=st.integers(1, 14),
     )
     def test_fill_matches_the_full_sums(self, mass, omega, couplings, n, l, order):
         pot, state = make_potential(mass, omega, couplings), make_state(n, l)
@@ -492,3 +493,44 @@ class TestSkipRule:
         if n == 0:
             # a nodeless C_k (k >= 2) has no pole at the origin: the skip rule's payoff
             assert all(not any(row[:k]) for k, row in enumerate(rows[2:], start=2))
+
+    def test_node_series_cells_match_the_full_sums(self):
+        # three nodes: every cell below column k-4 of rows 5..16 comes from the
+        # node series, through E_1..E_3 and the division by 4^3 3!
+        pot = make_potential(Fraction(7, 4), Fraction(5, 3), [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)])
+        table, series = compute_series(pot, make_state(3, 1), 16)
+        rows, corrections = _naive_fill(pot, make_state(3, 1), 16)
+        assert table._numerators == rows
+        assert list(series) == corrections
+        assert all(any(row[:k - 4]) for k, row in enumerate(rows[5:], start=5))
+
+    def test_inexact_node_cell_raises(self):
+        # one node: C[3][0] = R_1[0]^2 / 4 with R_1[0] = N[2][0]
+        rows = [[-1, 0, 0], [3, 0, 0], [6, 0, 0]]
+        assert _NodeSeries(1, 3).cells(rows, 3, 1) == [9]
+        rows[2][0] = 5
+        with pytest.raises(EngineError, match="numerator at C\\[3\\]\\[0\\] is not a multiple of 4"):
+            _NodeSeries(1, 3).cells(rows, 3, 1)
+
+
+class TestExactReference:
+    """E_k against Rayleigh-Schroedinger on the polynomial factor, which
+    shares no code with the engine."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(_COUPLING, max_size=3),
+        n=st.integers(0, 3),
+        l=st.integers(0, 4),
+        order=st.integers(1, 12),
+    )
+    def test_energies_match_the_reference(self, mass, omega, couplings, n, l, order):
+        _, series = compute_series(make_potential(mass, omega, couplings), make_state(n, l), order)
+        assert list(series) == reference_energies(mass, omega, couplings, n, l, order)
+
+    def test_quartic_excited_state_at_order_32(self):
+        v1 = Fraction(1, 101)
+        _, series = compute_series(make_potential(1, 1, [v1]), make_state(1, 2), 32)
+        assert list(series) == reference_energies(1, 1, [v1], 1, 2, 32)

@@ -41,21 +41,47 @@ pole of the factor r^(l+1) the poles of C there are the Laurent expansion of
 
 Its r^(-1-2m) coefficient, collected over the orders, is diagonal m of the
 table, R_m(x) = sum_i N[m+1+i][i] x^i, so R_m is 4 times the m-th power sum
-of n series b_j(x), the a_j rescaled to the fill's integers.  A power sum of n series is
-fixed by the first n through Newton's identities, so every cell on a
-diagonal m > n follows from R_1..R_n by the integer identity of
+of n series b_j(x), the a_j rescaled to the fill's integers.  A power sum
+of n series is fixed by the first n through Newton's identities, so every
+cell on a diagonal m > n follows from R_1..R_n by the integer identity of
 `_NodeSeries`: n dot products of length i+1 per cell, where the convolution
 makes about (k/2)(i+1).  The recursion fills only the columns from k-1-n on:
 R_1..R_n, the residue column and the regular part.  For n = 0 the pole
 triangle is zero, so a ground-state table is an upper triangle.
 
-Zeros are also skipped by position.  Row j is nonzero only in columns
-first[j]..last[j], read from the row itself, and a convolution multiplies
-only entries inside those spans.  Without a momentum term, that is every
-harmonic potential and couplings that are zero up to K-1, the fill is the
-harmonic one: every row is zero past column 0.  One `Fraction` is built per
-nonzero energy and per nonzero entry of a row read; every zero is one shared
-Fraction(0).
+The pole entries also enter the convolution of every cell the recursion
+fills, and there they are taken by division, not pair by pair.  Split
+S = sum_{k>=1} hbar^k C_k into its pole part P, the cells below the residue
+column, and Q', the residue column and the regular part.  The convolution
+of row k is the hbar^k part of S^2 = Q'^2 + Z with Z = P (2Q' + P), and Q'^2
+pairs only the entries a ground state has.  With the node polynomial
+
+    Pi = prod_j (r^2 - a_j) = sum_{m=0}^{n} (-1)^m e_m r^(2(n-m)),
+
+P = hbar sum_j 2a_j / (r (r^2 - a_j)), and x Pi'(x) - n Pi(x) =
+sum_j a_j prod_{i != j} (x - a_i) at x = r^2, the product P Pi is the finite
+
+    Num = (2 hbar / r) sum_{m=1}^{n} (-1)^(m+1) m e_m r^(2(n-m)).
+
+So Z Pi = Num (2Q' + P), and dividing by the leading term r^(2n) gives
+
+    Z = 2 hbar sum_{m=1}^{n} (-1)^(m+1) m e_m r^(-1-2m) (2Q' + P)
+        - sum_{m=1}^{n} (-1)^m e_m r^(-2m) Z.
+
+Since e_m is of order hbar^m, the last sum reads Z of earlier rows only.  In
+the fill's integers, e_m is E_m / (4^m m!) with E_m of `_NodeSeries`, and
+both sums pair e_m with the same cells, so a cell of Z costs n dot
+products, one per e_m against a diagonal of 4 m s N + Z (s = 2 on Q', 1 on
+P), and one exact division by 4^n n!; no pole entry meets another pole
+entry.  For n = 0, Z = 0 and Q' is the whole table.
+
+Zeros are also skipped by position.  The Q' part of row j is nonzero only
+in columns first[j]..last[j], read from the row itself, and a convolution
+multiplies only entries inside those spans.  Without a momentum term, that
+is every harmonic potential and couplings that are zero up to K-1, the fill
+is the harmonic one: every row is zero past column 0.  One `Fraction` is
+built per nonzero energy and per nonzero entry of a row read; every zero is
+one shared Fraction(0).
 """
 
 from __future__ import annotations
@@ -63,7 +89,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import getitem, mul
+from operator import mul
 
 from .model import EnergySeries, PotentialSpec, QuantumState
 
@@ -144,6 +170,8 @@ def _momentum_row(potential: PotentialSpec, imax: int) -> tuple[int, int, list[i
     u = [v.numerator * (d**i // v.denominator) for i, v in enumerate(scaled, start=1)]
     g = _common_power(u)
     u = [x // g**i for i, x in enumerate(u, start=1)]
+    if not any(u):  # no coupling below v_(imax+1): the harmonic row, -1 and zeros
+        return d, g, [-1] + [0] * imax
     row = [-1]
     for i in range(1, imax + 1):
         acc = sum(map(mul, row[1:i], row[i - 1:0:-1]))
@@ -203,7 +231,8 @@ class CoefficientTable:
 
 def _convolution(spans: list, k: int, first: int, width: int) -> list:
     """conv[i] = sum_{j=1}^{k-1} sum_p N[j][p] N[k-j][i-p] for first <= i < width,
-    and zero below first.
+    and zero below first, over the entries that the spans hold: the whole
+    table for n = 0, the Q' part of each row for an excited state.
 
     Uses the j <-> k-j symmetry of the sum (both halves reindex to the same
     value).  spans[j], row j's _Span, has `entries` in columns first..last
@@ -234,57 +263,103 @@ def _convolution(spans: list, k: int, first: int, width: int) -> list:
 
 
 class _NodeSeries:
-    """The node series of an n-node fill (n >= 1), and the cells below column
-    k-1-n of row k that they fix.
+    """The node series of an n-node fill (n >= 1): the cells below column
+    k-1-n of row k, which they fix, and Z[k][i], the pairs with a pole entry
+    in the convolution of a cell from column k-1-n on.
 
-    R_m[q] = N[m+1+q][q] is diagonal m of the pole triangle.  e[j] holds the
-    coefficients of E_j so far, e[0] = 1, 0, 0, ...; before row k's cells are
-    read they are extended to degree count-1, by
+    The pole triangle is also kept by diagonal, so that a sum along one is a
+    slice: R_m[q] = N[m+1+q][q] is poles[m+1][q].  e[j] holds the
+    coefficients of E_j so far, e[0] = 1, 0, 0, ...; once row k is in, each
+    is extended to degree min(k-1-j, end), as far as row k+1 reads it, by
 
         E_j = sum_{t=1}^{j} (-1)^(t-1) ((j-1)!/(j-t)!) 4^(t-1) E_(j-t) R_t.
 
-    Cell i lies on diagonal m = k-1-i > n, where, with L = 4^n n!,
+    Every operand of row k lies in a row before k.  With L = 4^n n! and
+    w_m = (-1)^(m-1) L/(4^m m!), a cell i on diagonal m = k-1-i > n is
 
-        N[k][i] = sum_{j=1}^{n} (-1)^(j-1) (L/(4^j j!)) [x^i](E_j R_(m-j)) / L.
+        N[k][i] = sum_{m'=1}^{n} w_m' [x^i](E_m' R_(m-m')) / L,
 
-    Every operand lies in a row before k.
+    and a cell i >= k-1-n has
+
+        Z[k][i] = sum_{m=1}^{n} w_m sum_q E_m[q] H_m[k-1-m-q][i-q] / L,
+        H_m[r][c] = 4 m s N[r][c] + Z[r+1][c],
+
+    with s = 2 for the residue and regular entries of 2Q' (c >= r-1) and
+    s = 1 for the pole entries, and q <= min(i, k-2-m).  Z is zero in rows
+    1 and 2.  operands[m][d] holds H_m[r][r-d] for r = max(d, 1), ..., the
+    diagonals d <= n-m that the recursion reads, columns 0..end; a diagonal
+    d < 0 sits at the end of the list, by negative indexing.
     """
 
-    __slots__ = ("e", "weights", "whole")
+    __slots__ = ("e", "weights", "whole", "poles", "operands", "end")
 
-    def __init__(self, n: int, order: int):
-        self.e = [[1] + [0] * order] + [[] for _ in range(n)]
+    def __init__(self, n: int, order: int, end: int):
+        self.e = [[1] + [0] * end] + [[] for _ in range(n)]
         self.whole = 4**n * math.factorial(n)
         self.weights = [(-1) ** (j - 1) * self.whole // (4**j * math.factorial(j))
                         for j in range(1, n + 1)]
+        self.poles = [[] for _ in range(order + 1)]
+        self.operands = [None] + [[[] for _ in range(n - m + end + 1)]
+                                  for m in range(1, n + 1)]
+        self.end = end
 
-    def cells(self, rows: list, k: int, count: int) -> list:
+    def add(self, k: int, row: list) -> None:
+        """Take the pole entries of row k, N[k][0..k-2] as far as column end,
+        into the diagonals and extend E_1..E_n."""
+        poles, e, end = self.poles, self.e, self.end
+        for i in range(k - 1 if k <= end + 1 else end + 1):
+            poles[k - i].append(row[i])
+        # E_j gains degree p = k-1-j, for the j with 0 <= p <= end
+        for j in range(k - 1 - end if k - 1 > end else 1, k if k < len(e) else len(e)):
+            p = k - 1 - j
+            acc, c = 0, 1  # c = (-1)^(t-1) ((j-1)!/(j-t)!) 4^(t-1)
+            for t in range(1, j + 1):
+                # R_t[p], R_t[p-1], ..., R_t[0]
+                acc += c * sum(map(mul, e[j - t], poles[t + 1][p::-1]))
+                c *= 4 * (t - j)
+            e[j].append(acc)
+
+    def cells(self, k: int, count: int) -> list:
         """N[k][0..count-1], for count <= k-1-n."""
-        e, whole = self.e, self.whole
-        for p in range(len(e[1]), count):
-            back = range(p, -1, -1)
-            for j in range(1, len(e)):
-                acc, c = 0, 1  # c = (-1)^(t-1) ((j-1)!/(j-t)!) 4^(t-1)
-                for t in range(1, j + 1):
-                    # R_t[p], R_t[p-1], ..., R_t[0]
-                    acc += c * sum(map(mul, e[j - t], map(getitem, rows[t + 1 + p:t:-1], back)))
-                    c *= 4 * (t - j)
-                e[j].append(acc)
+        e, poles, whole = self.e, self.poles, self.whole
         row = []
         for i in range(count):
-            back = range(i, -1, -1)
             acc = 0
             for j, w in enumerate(self.weights, start=1):
                 # R_(m-j)[i], ..., R_(m-j)[0] for m = k-1-i
-                acc += w * sum(map(mul, e[j], map(getitem, rows[k - j:k - 1 - i - j:-1], back)))
+                acc += w * sum(map(mul, e[j], poles[k - i - j][i::-1]))
             cell, rest = divmod(acc, whole)
             if rest:
-                raise EngineError(
-                    f"numerator at C[{k}][{i}] is not a multiple of {whole}: "
-                    "the node series lost exactness"
-                )
+                raise _inexact("numerator", k, i, whole)
             row.append(cell)
         return row
+
+    def products(self, conv: list, k: int, first: int, prev: list) -> None:
+        """Add Z[k][i] to conv[i] for first <= i <= end, where first >= k-1-n
+        and k >= 2, and take H_m[k-1][i] from prev, row k-1."""
+        e, operands, whole, n = self.e, self.operands, self.whole, len(self.weights)
+        # H_m[k-1-m-q][i-q] lies on diagonal k-1-m-i; q runs to top = k-2-m,
+        # or to i before column top
+        terms = [(k - 1 - m, k - 2 - m, w, e[m], operands[m])
+                 for m, w in enumerate(self.weights[:k - 2], start=1)]
+        for i in range(first, self.end + 1):
+            acc = 0
+            for base, top, w, em, h in terms:
+                acc += w * sum(map(mul, em, h[base - i][(i if i < top else top)::-1]))
+            z, rest = divmod(acc, whole)
+            if rest:
+                raise _inexact("pole product", k, i, whole)
+            conv[i] += z
+            d = k - 1 - i
+            s = prev[i] if d > 1 else 2 * prev[i]  # s N[k-1][i]
+            for m in range(1, (n - d if d > 0 else n) + 1):
+                operands[m][d].append(4 * m * s + z)
+
+
+def _inexact(what: str, k: int, i: int, whole: int) -> EngineError:
+    return EngineError(
+        f"{what} at C[{k}][{i}] is not a multiple of {whole}: the node series lost exactness"
+    )
 
 
 def compute_series(
@@ -327,12 +402,16 @@ def compute_series(
 
     The cells below column k-1-n, on the pole triangle's diagonals m > n,
     come from the node series instead (module docstring, `_NodeSeries`), and
-    the convolution skips their columns; for n = 0 they are zero.  With
-    first[j] and last[j] the first and last nonzero columns of row j, kept in
-    its _Span record with the entries between them (row 0 included), the
-    pair (j, k-j) enters the convolution at column i only through p in
-    [max(first[j], i - last[k-j]), min(last[j], i - first[k-j])], and the
-    momentum term stops at p = i - first[k].  The residue column's cell sum
+    the convolution skips their columns; for n = 0 they are zero.  In the
+    columns from k-1-n on, `_convolution` pairs only the entries on and
+    right of each row's residue column, Q', and `_NodeSeries.products` adds
+    Z[k][i], every pair with a pole entry, from Z Pi = Num (2Q' + P) (module
+    docstring).  With first[j] and last[j] the first and last nonzero
+    columns of row j's Q' part, kept in its _Span record with the entries
+    between them (row 0 included), the pair (j, k-j) enters the convolution
+    at column i only through p in [max(first[j], i - last[k-j]),
+    min(last[j], i - first[k-j])], and the momentum term stops at p = i - f,
+    f the first nonzero column of row k.  The residue column's cell sum
     lacks only the p = 0 term 2 c~_0 N[k][k-1] of the bracket of E_k, so E_k
     needs no second convolution.  Without a momentum term, row 1 is
     2n+l+1 in column 0 and zeros, and by induction every term of a cell in a
@@ -352,24 +431,27 @@ def compute_series(
     top = max(i for i, x in enumerate(c0) if x)
     spans = [_Span(0, top, c0[:top + 1], c0[top::-1])]
     tail = spans[0].entries[1:]  # empty exactly when there is no momentum term
+    # Without a momentum term the fill is the harmonic one, zero past column 0.
+    end = order - 1 if tail else 0
     rows = [c0]
-    nodes = _NodeSeries(state.n, order) if state.n else None
+    nodes = _NodeSeries(state.n, order, end) if state.n else None
     omega = potential.omega
     corrections = []
     for k in range(1, order + 1):
         prev = rows[k - 1]
-        # Without a momentum term the fill is the harmonic one, zero past column 0.
-        end = order - 1 if tail else 0
         # the cells below column k-1-n, which the node series fix; the
         # recursion fills the rest
         count = min(max(k - 1 - state.n, 0), end + 1)
         conv = _convolution(spans, k, count, end + 1)
         row, lo, hi = [0] * count, order, -1
-        if nodes and count:
-            row = nodes.cells(rows, k, count)
-            nonzero = [i for i, n in enumerate(row) if n]
-            if nonzero:
-                lo, hi = nonzero[0], nonzero[-1]
+        if nodes:
+            if count:
+                row = nodes.cells(k, count)
+                nonzero = [i for i, n in enumerate(row) if n]
+                if nonzero:
+                    lo, hi = nonzero[0], nonzero[-1]
+            if k > 1 and count <= end:
+                nodes.products(conv, k, count, prev)
         energy = 0  # the residue column's bracket, when the row ends before it
         for i in range(count, end + 1):
             acc = 2 * (3 - 2 * k + 2 * i) * prev[i] + conv[i]
@@ -388,6 +470,16 @@ def compute_series(
             row.append(n)
             if n:
                 lo, hi = min(lo, i), i
+        if nodes:
+            nodes.add(k, row)
+            # the convolution pairs only the entries on and right of the
+            # residue column, Q'; the pole entries enter through Z
+            if hi < k - 1:
+                lo, hi = order, -1
+            elif lo < k - 1:
+                lo = k - 1
+                while not row[lo]:
+                    lo += 1
         rows.append(row + [0] * (order - 1 - end))
         entries = row[lo:hi + 1]
         spans.append(_Span(lo, hi, entries, entries[::-1]))

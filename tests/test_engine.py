@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anharm.engine import (
-    EngineError, OrderTooLarge, _common_power, _halve, _momentum_row, _NodeSeries, compute_series,
+    CoefficientTable, EngineError, OrderTooLarge, _common_power, _halve, _momentum_row, _NodeSeries,
+    compute_series,
 )
 from anharm.model import make_potential, make_state
 from anharm.wavefunction import harmonic_d_coefficients
@@ -224,8 +225,8 @@ class TestGuards:
             compute_series(make_potential(1, 1), make_state(0, 0), 0)
 
 
-# Denominators mixing the primes 2, 3, 5, 7, 11 and 13, so that the integer
-# engine's Q = 2 lcm(denominators of v~) carries odd primes, not only powers of 2.
+# Denominators mixing the primes 2, 3, 5, 7, 11 and 13, so that the unit D/G
+# of the integer fill carries odd primes, not only powers of 2.
 _DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 21, 35, 100])
 _POSITIVE = st.builds(Fraction, st.integers(1, 12), _DENOMINATORS)
 _COUPLING = st.builds(Fraction, st.integers(-12, 12), _DENOMINATORS)
@@ -351,7 +352,54 @@ def _newton_holds(table, n):
     return True
 
 
+def _pole_product(table, n):
+    """P Pi and Num of the engine's module docstring, as {(power of hbar, power
+    of r): coefficient} through hbar^K, from the table's Fractions alone.
+
+    With a_j = hbar b_j(hbar), p_m = sum_i (C[m+1+i][i] / 2) hbar^i is the
+    m-th power sum of the b_j, Newton's identities give their elementary
+    symmetric series from p_1..p_n, and e_m = hbar^m times those."""
+    order = table.order
+    rows = [table.row(k) for k in range(order + 1)]
+    pole = {(k, 1 - 2 * k + 2 * i): rows[k][i] for k in range(2, order + 1) for i in range(k - 1)}
+    p = [None] + [[rows[m + 1 + i][i] / 2 for i in range(order - m)] for m in range(1, order)]
+    # e_m with m >= K enters only past hbar^K
+    e = [[Fraction(1)] + [0] * order]
+    for k in range(1, min(n, order - 1) + 1):
+        e.append([x / k for x in _alternating((e[k - i], p[i]) for i in range(1, k + 1))])
+    # Pi = sum_m (-1)^m e_m r^(2(n-m)), Num = (2 hbar / r) sum_m (-1)^(m+1) m e_m r^(2(n-m))
+    pi = {(m + s, 2 * (n - m)): (-1) ** m * x for m in range(len(e)) for s, x in enumerate(e[m])}
+    num = {(1 + m + s, 2 * (n - m) - 1): 2 * (-1) ** (m + 1) * m * x
+           for m in range(1, len(e)) for s, x in enumerate(e[m])}
+    product = {}
+    for (h1, r1), a in pole.items():
+        for (h2, r2), b in pi.items():
+            if a and b and h1 + h2 <= order:
+                key = (h1 + h2, r1 + r2)
+                product[key] = product.get(key, 0) + a * b
+    return ({key: x for key, x in product.items() if x}, {key: x for key, x in num.items() if x})
+
+
 class TestPoleTriangle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mass=_POSITIVE,
+        omega=_POSITIVE,
+        couplings=st.lists(_COUPLING, max_size=3),
+        n=st.integers(0, 4),
+        l=st.integers(0, 3),
+        order=st.integers(1, 16),
+    )
+    def test_pole_part_times_node_polynomial_is_num(self, mass, omega, couplings, n, l, order):
+        # The identity the engine's pole products divide by: P Pi = Num, a
+        # polynomial of degree n-1 in r^2 over r, with nothing left below r^-1.
+        # It is checked on the table of full sums, which uses no node series.
+        pot, state = make_potential(mass, omega, couplings), make_state(n, l)
+        d, g, _ = _momentum_row(pot, order - 1)
+        table = CoefficientTable(pot, state, d, g, _naive_fill(pot, state, order)[0])
+        product, num = _pole_product(table, n)
+        assert product == num
+
     @settings(max_examples=40, deadline=None)
     @given(
         mass=_POSITIVE,
@@ -474,6 +522,17 @@ def _naive_fill(potential, state, order):
     return rows, corrections
 
 
+def _one_node(rows):
+    """A one-node _NodeSeries through column 2, fed the hand-made rows 1, 2, ...
+    as the fill feeds it: row k's pole products, then row k."""
+    nodes = _NodeSeries(1, 4, 2)
+    for k, row in enumerate(rows, start=1):
+        if k > 1:
+            nodes.products([0, 0, 0], k, max(k - 2, 0), rows[k - 2])
+        nodes.add(k, row)
+    return nodes
+
+
 class TestSkipRule:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -506,11 +565,24 @@ class TestSkipRule:
 
     def test_inexact_node_cell_raises(self):
         # one node: C[3][0] = R_1[0]^2 / 4 with R_1[0] = N[2][0]
-        rows = [[-1, 0, 0], [3, 0, 0], [6, 0, 0]]
-        assert _NodeSeries(1, 3).cells(rows, 3, 1) == [9]
-        rows[2][0] = 5
+        assert _one_node([[3, 0, 0], [6, 0, 0]]).cells(3, 1) == [9]
         with pytest.raises(EngineError, match="numerator at C\\[3\\]\\[0\\] is not a multiple of 4"):
-            _NodeSeries(1, 3).cells(rows, 3, 1)
+            _one_node([[3, 0, 0], [5, 0, 0]]).cells(3, 1)
+
+    def test_inexact_pole_product_raises(self):
+        # one node, R_1 = N[2][0] + N[3][1] x + ...: Z[3][i] = 2 N[2][0] N[1][i],
+        # and 4 Z[4][2] = 8 (N[2][0] N[2][2] + N[3][1] N[1][1]) + N[2][0] Z[3][2]
+        def pole_products(head):
+            nodes = _one_node([[3, 1, 1], [head, 0, 0]])
+            third, fourth = [0, 0, 0], [0, 0, 0]
+            nodes.products(third, 3, 1, [head, 0, 0])
+            nodes.add(3, [7, 1, 0])
+            nodes.products(fourth, 4, 2, [7, 1, 0])
+            return third, fourth
+
+        assert pole_products(6) == ([0, 12, 12], [0, 0, 20])
+        with pytest.raises(EngineError, match="pole product at C\\[4\\]\\[2\\] is not a multiple of 4"):
+            pole_products(5)  # 5 Z[3][2] = 50
 
 
 class TestExactReference:
@@ -534,3 +606,16 @@ class TestExactReference:
         v1 = Fraction(1, 101)
         _, series = compute_series(make_potential(1, 1, [v1]), make_state(1, 2), 32)
         assert list(series) == reference_energies(1, 1, [v1], 1, 2, 32)
+
+    @pytest.mark.parametrize(
+        "mass, omega, couplings, n, l, order",
+        [
+            (1, 1, [Fraction(1, 101)], 1, 2, 64),
+            (Fraction(7, 4), Fraction(5, 3), [Fraction(1, 97), Fraction(1, 241), Fraction(1, 1013)], 1, 1, 32),
+            (1, 1, [Fraction(1, 101)], 3, 0, 40),  # n >= 3, where pole entries once met pole entries
+        ],
+        ids=["quartic-1-2-K64", "three-couplings-1-1-K32", "quartic-3-0-K40"],
+    )
+    def test_excited_states_at_high_order(self, mass, omega, couplings, n, l, order):
+        _, series = compute_series(make_potential(mass, omega, couplings), make_state(n, l), order)
+        assert list(series) == reference_energies(mass, omega, couplings, n, l, order)
